@@ -12,8 +12,10 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace -- -D warnings
 
 echo "==> bmb-xtask lint"
-# The per-pass counts line prints even on a clean run, so a pass that
-# silently stopped analyzing anything is visible in the CI log.
+# The per-pass line prints finding counts, not how much each pass
+# analyzed, so a clean run alone cannot show a pass went blind. The
+# durability pass guards its own target instead: a bmb-basket without
+# `wal.rs`, or a `wal.rs` without `pub fn append*`, is itself a finding.
 cargo run -q -p bmb-xtask -- lint
 
 echo "==> bmb-xtask self-test (seeded-violation fixtures)"

@@ -49,9 +49,9 @@
 use std::io;
 
 use crate::item::ItemId;
+use crate::record::crc32;
 use crate::segment::Snapshot;
 use crate::storage::Dir;
-use crate::wal::crc32;
 
 /// Magic bytes opening every checkpoint snapshot file (versioned).
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"BMBCKPT1";

@@ -23,10 +23,12 @@
 //! * [`io`] — a plain-text basket interchange format;
 //! * [`segment`] — append-only ingest with sealed segments and epoch
 //!   snapshots, the substrate of the serving layer;
-//! * [`storage`] — pluggable byte-log backends (real file, in-memory,
-//!   deterministic fault injection);
-//! * [`wal`] — a checksummed write-ahead log and [`DurableStore`], the
-//!   crash-safe wrapper around [`IncrementalStore`].
+//! * [`storage`] — pluggable byte-log and directory backends (real
+//!   directory, in-memory, deterministic fault injection);
+//! * [`record`] — the WAL record codec and its one frame walker;
+//! * [`wal`] — a checksummed, rotating write-ahead log with checkpoints
+//!   and [`DurableStore`], the crash-safe wrapper around
+//!   [`IncrementalStore`].
 
 #![warn(missing_docs)]
 
@@ -48,11 +50,13 @@ pub mod io;
 pub mod item;
 /// Canonical sorted itemsets and subset enumeration.
 pub mod itemset;
+/// WAL record codec: segment header, framing, payloads, frame walker.
+pub mod record;
 /// Background integrity scrubbing: verify, quarantine, repair.
 pub mod scrub;
 /// Append-only ingest with sealed segments and epoch snapshots.
 pub mod segment;
-/// Pluggable byte-log backends: real file, in-memory, fault injection.
+/// Pluggable byte-log and directory backends: real, in-memory, faulty.
 pub mod storage;
 /// Checksummed write-ahead log and the crash-safe [`DurableStore`].
 pub mod wal;
@@ -66,18 +70,15 @@ pub use counts::{BitmapCounter, ScanCounter, SupportCounter};
 pub use database::BasketDatabase;
 pub use item::{ItemCatalog, ItemId};
 pub use itemset::Itemset;
+pub use record::{inspect_wal_bytes, InspectedRecord, WalInspection};
 pub use scrub::{
     fsck_dir, quarantine_name, segment_digests, verify_checkpoint_bytes, verify_generation_bytes,
     verify_manifest_bytes, FsckFinding, FsckReport, PeerError, RepairPeer, ScrubOptions,
     ScrubReport, SegmentDigest, QUARANTINE_PREFIX,
 };
 pub use segment::{IncrementalStore, ItemOutOfRange, Segment, Snapshot, StoreConfig};
-pub use storage::{
-    Dir, DirFaultPlan, FaultDir, FaultPlan, FaultStorage, FileStorage, FsDir, MemDir, MemStorage,
-    Storage,
-};
+pub use storage::{Dir, DirFaultPlan, FaultDir, FsDir, MemDir, Storage};
 pub use wal::{
-    inspect_wal_bytes, CheckpointError, CheckpointStats, DurabilityConfig, DurableError,
-    DurableStore, InspectedRecord, RecoveryReport, ShipBatch, ShipSource, WalError, WalInspection,
-    GEN_NAME,
+    CheckpointError, CheckpointStats, DurabilityConfig, DurableError, DurableStore, RecoveryReport,
+    ShipBatch, ShipSource, WalError, GEN_NAME,
 };

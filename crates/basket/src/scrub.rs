@@ -10,7 +10,7 @@
 //! silent-wrong-answer risk, not just a crash risk.
 //!
 //! [`DurableStore::scrub_pass`] walks the durable artifacts of a
-//! directory-mode store — the `GEN` fencing record, the `MANIFEST`,
+//! store — the `GEN` fencing record, the `MANIFEST`,
 //! every checkpoint the manifest tracks, and every *sealed* WAL
 //! segment — re-verifying magic headers, CRCs, epoch fields, and
 //! segment base-epoch chain consistency. The pass is read-only until it
@@ -58,12 +58,14 @@ use crate::checkpoint::{
     write_atomic, CHECKPOINT_MAGIC, MANIFEST_NAME,
 };
 use crate::item::ItemId;
+use crate::record::{
+    crc32, encode_batch, encode_fence, frame_into, inspect_wal_bytes, segment_header,
+};
 use crate::segment::{IncrementalStore, Snapshot, StoreConfig};
 use crate::storage::Dir;
 use crate::wal::{
-    crc32, decode_generation, encode_batch, encode_fence, encode_generation, inspect_wal_bytes,
-    lock, parse_segment_name, segment_name, CkptShared, CkptState, DurableStore, GEN_NAME,
-    WAL2_MAGIC,
+    decode_generation, encode_generation, lock, parse_segment_name, segment_name, CkptState,
+    DurableStore, GEN_NAME,
 };
 
 /// Name prefix of quarantined artifacts. Quarantine names are never
@@ -164,7 +166,7 @@ pub fn segment_digests(snapshot: &Snapshot, from_epoch: u64) -> Vec<SegmentDiges
     out
 }
 
-/// Rebuilds the exact byte image of a sealed v2 WAL segment from the
+/// Rebuilds the exact byte image of a sealed WAL segment from the
 /// baskets it covers: header (`BMBWAL2\n` + `base_epoch`), one
 /// single-basket batch record per basket, and an epoch fence after
 /// every basket whose epoch is a multiple of `segment_capacity` (the
@@ -180,26 +182,18 @@ pub fn rebuild_segment_bytes(
     baskets: &[Vec<ItemId>],
     segment_capacity: usize,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + baskets.iter().map(|b| 21 + 4 * b.len()).sum::<usize>());
-    out.extend_from_slice(WAL2_MAGIC);
-    out.extend_from_slice(&base_epoch.to_le_bytes());
+    let mut out = segment_header(base_epoch);
+    out.reserve(baskets.iter().map(|b| 21 + 4 * b.len()).sum::<usize>());
     let cap = segment_capacity as u64;
     let mut epoch = base_epoch;
     for basket in baskets {
         epoch += 1;
-        frame_record(&mut out, &encode_batch(std::slice::from_ref(basket)));
+        frame_into(&mut out, &encode_batch(std::slice::from_ref(basket)));
         if cap > 0 && epoch.is_multiple_of(cap) {
-            frame_record(&mut out, &encode_fence(epoch));
+            frame_into(&mut out, &encode_fence(epoch));
         }
     }
     out
-}
-
-/// Appends one framed record (`len:u32le crc:u32le payload`).
-fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
 }
 
 /// Structurally verifies `GEN` record bytes.
@@ -318,7 +312,7 @@ pub fn verify_checkpoint_bytes(
     Ok(())
 }
 
-/// Structurally verifies sealed-segment bytes: v2 magic, the expected
+/// Structurally verifies sealed-segment bytes: segment magic, the expected
 /// `base_epoch`, a clean record walk (every CRC intact, no torn tail),
 /// and — when known — the exact end epoch the next segment's base
 /// demands.
@@ -332,9 +326,6 @@ pub fn verify_segment_bytes(
     expected_end: Option<u64>,
 ) -> Result<(), String> {
     let inspection = inspect_wal_bytes(bytes).map_err(|e| e.to_string())?;
-    if inspection.format != "v2" {
-        return Err("not a v2 segment (v1 magic in a directory-mode store)".to_string());
-    }
     match inspection.base_epoch {
         Some(base) if base == base_epoch => {}
         Some(base) => {
@@ -563,14 +554,6 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
                 continue;
             }
         };
-        if inspection.format != "v2" {
-            report.findings.push(FsckFinding {
-                name: name.clone(),
-                detail: "v1 WAL magic in a directory-mode store".to_string(),
-            });
-            covered = None;
-            continue;
-        }
         let Some(base) = inspection.base_epoch else {
             report.findings.push(FsckFinding {
                 name: name.clone(),
@@ -731,8 +714,7 @@ impl DurableStore {
     /// Runs one scrub tick: verify every durable artifact (or as many
     /// as the byte budget allows), quarantine and repair what fails,
     /// and report what happened. See the [module docs](self) for the
-    /// full decision tree. Single-file stores return an empty complete
-    /// report — recovery re-verifies the whole file on every open.
+    /// full decision tree.
     ///
     /// `peer` is the optional replica used to re-fetch damaged segment
     /// ranges; when it is absent or fenced the pass falls back to the
@@ -748,10 +730,7 @@ impl DurableStore {
             complete: true,
             ..ScrubReport::default()
         };
-        let Some(ckpt) = self.ckpt.as_ref() else {
-            metrics.passes.inc();
-            return report;
-        };
+        let ckpt = &self.ckpt;
         // Re-checkpoint target when a segment could not be rebuilt:
         // a fresh checkpoint at or past this epoch makes recovery skip
         // the damaged segment entirely.
@@ -813,7 +792,6 @@ impl DurableStore {
                     }
                 }
                 self.scrub_one(
-                    ckpt,
                     &state,
                     artifact,
                     &mut peer,
@@ -859,7 +837,6 @@ impl DurableStore {
     #[allow(clippy::too_many_arguments)]
     fn scrub_one(
         &self,
-        ckpt: &CkptShared,
         state: &CkptState,
         artifact: &Artifact,
         peer: &mut Option<&mut dyn RepairPeer>,
@@ -872,7 +849,7 @@ impl DurableStore {
         let read = {
             // Reads the artifact bytes under the dir lock, released
             // before any rebuild work. // lock:allow(io)
-            let mut dir = lock(&ckpt.dir);
+            let mut dir = lock(&self.ckpt.dir);
             dir.open(&name).and_then(|mut file| file.read_all())
         };
         let file_present = read.is_ok();
@@ -917,7 +894,6 @@ impl DurableStore {
             Artifact::Generation => {
                 let rebuilt = encode_generation(self.generation());
                 self.repair_by_replace(
-                    ckpt,
                     &name,
                     file_present,
                     &rebuilt,
@@ -931,7 +907,6 @@ impl DurableStore {
             Artifact::Manifest => {
                 let rebuilt = encode_manifest(&state.manifest);
                 self.repair_by_replace(
-                    ckpt,
                     &name,
                     file_present,
                     &rebuilt,
@@ -945,7 +920,6 @@ impl DurableStore {
             Artifact::Checkpoint(epoch) => {
                 match self.recut_checkpoint_bytes(*epoch) {
                     Some(rebuilt) => self.repair_by_replace(
-                        ckpt,
                         &name,
                         file_present,
                         &rebuilt,
@@ -964,7 +938,6 @@ impl DurableStore {
             }
             Artifact::Segment { base, end, .. } => {
                 self.repair_segment(
-                    ckpt,
                     &name,
                     file_present,
                     &bytes,
@@ -1013,7 +986,6 @@ impl DurableStore {
     #[allow(clippy::too_many_arguments)]
     fn repair_by_replace(
         &self,
-        ckpt: &CkptShared,
         name: &str,
         file_present: bool,
         rebuilt: &[u8],
@@ -1025,7 +997,7 @@ impl DurableStore {
     ) {
         // Rename + rewrite under the dir lock so rotation, shipping,
         // and fsck never observe a half-repaired name. // lock:allow(io)
-        let mut dir = lock(&ckpt.dir);
+        let mut dir = lock(&self.ckpt.dir);
         let mut evidence_safe = true;
         if file_present {
             let qname = quarantine_name(*quarantine_seq, name);
@@ -1077,7 +1049,6 @@ impl DurableStore {
     #[allow(clippy::too_many_arguments)]
     fn repair_segment(
         &self,
-        ckpt: &CkptShared,
         name: &str,
         file_present: bool,
         damaged: &[u8],
@@ -1126,7 +1097,7 @@ impl DurableStore {
         let rebuilt = rebuild_segment_bytes(base, &baskets, self.segment_capacity());
         // Copy-quarantine then replace-in-place under the dir lock, so
         // the segment name exists at every instant. // lock:allow(io)
-        let mut dir = lock(&ckpt.dir);
+        let mut dir = lock(&self.ckpt.dir);
         if file_present {
             let qname = quarantine_name(*quarantine_seq, name);
             match quarantine_copy(dir.as_mut(), &qname, damaged) {

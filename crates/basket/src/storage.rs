@@ -1,35 +1,32 @@
-//! Pluggable byte-log storage for the write-ahead log.
+//! Pluggable storage for the write-ahead log and its checkpoints.
 //!
-//! The WAL ([`crate::wal`]) is written against the [`Storage`] trait — an
-//! append-only byte log with an explicit durability barrier — so the same
-//! record format and recovery code runs over three backends:
+//! The WAL ([`crate::wal`]) is written against two traits: [`Storage`],
+//! an append-only byte log with an explicit durability barrier, and
+//! [`Dir`], a flat directory of such logs whose WAL segments, snapshot
+//! files, and manifest are created, atomically renamed, and deleted as
+//! a group. The same record format and recovery code runs over three
+//! directory backends:
 //!
-//! * [`FileStorage`] — a real file (`bmb serve --wal PATH`);
-//! * [`MemStorage`] — an in-memory buffer behind a shared handle, so a
-//!   test can "crash" a store (drop it) and re-open the surviving bytes;
-//! * [`FaultStorage`] — a [`MemStorage`] wrapped in a deterministic
-//!   [`FaultPlan`]: fail after N appended bytes (with the failing append
-//!   landing as a short, torn write, either permanent like dead media or
-//!   transient like an ENOSPC that clears), fail reads, and flip a byte
-//!   at a chosen offset. Every crash point a disk can produce is
-//!   enumerable, which is what the crash-recovery torture test iterates
-//!   over.
+//! * [`FsDir`] — a real directory of files
+//!   (`bmb serve --checkpoint-dir DIR`);
+//! * [`MemDir`] — in-memory files with a live-vs-durable
+//!   entry model: names mutated since the last [`Dir::sync`] revert at a
+//!   simulated crash ([`MemDir::crashed`]), which is what catches a
+//!   missing fsync-parent-dir;
+//! * [`FaultDir`] — a [`MemDir`] injecting a deterministic
+//!   [`DirFaultPlan`]: a torn-write byte budget shared by every file
+//!   (permanent like dead media, or transient like an ENOSPC that
+//!   clears), failing reads, and planned create/rename/delete/dir-sync
+//!   failures. Every crash point a disk can produce is enumerable, which
+//!   is what the crash-recovery torture tests iterate over; at-rest bit
+//!   rot is planned with [`FaultDir::plan_at_rest_corruption`] or made
+//!   directly on a crashed [`MemDir`]'s bytes.
 //!
 //! Fault semantics mirror real disks: a failed append may have persisted
 //! a *prefix* of the data (torn write), a failed sync leaves the tail in
 //! an unknown state, and corruption flips bits without changing length.
 //! Recovery must treat all of these as a damaged tail, never as damage to
 //! records whose sync was acknowledged.
-//!
-//! Checkpointed durability needs more than one log: WAL segments, snapshot
-//! files, and a manifest live in one *directory* and are created, renamed,
-//! and deleted as a group. The [`Dir`] trait models that directory with
-//! the same three-backend scheme — [`FsDir`] over a real directory,
-//! [`MemDir`] with a live-vs-durable entry model (names mutated since the
-//! last [`Dir::sync`] revert at a simulated crash, which is what catches a
-//! missing fsync-parent-dir), and [`FaultDir`] injecting a [`DirFaultPlan`]
-//! (a shared torn-write byte budget plus planned create/rename/delete/
-//! dir-sync failures).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -90,39 +87,10 @@ pub trait Storage: Send {
     fn truncate(&mut self, len: u64) -> io::Result<()>;
 }
 
-/// A [`Storage`] over a real file.
+/// A [`Storage`] over a real file, handed out by [`FsDir`].
 #[derive(Debug)]
-pub struct FileStorage {
+pub(crate) struct FileStorage {
     file: File,
-}
-
-impl FileStorage {
-    /// Opens (creating if absent) the log file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates open failures.
-    pub fn open(path: &Path) -> io::Result<FileStorage> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        // A freshly created file's directory entry is not durable until
-        // the parent directory itself is synced; without this, a crash
-        // shortly after creation can lose the file — and every synced
-        // append in it — on some filesystems.
-        #[cfg(unix)]
-        {
-            let parent = match path.parent() {
-                Some(p) if !p.as_os_str().is_empty() => p,
-                _ => Path::new("."),
-            };
-            File::open(parent)?.sync_all()?;
-        }
-        Ok(FileStorage { file })
-    }
 }
 
 impl Storage for FileStorage {
@@ -153,34 +121,24 @@ impl Storage for FileStorage {
 
 /// A shared in-memory byte buffer, so the bytes outlive the [`Storage`]
 /// handle that wrote them (simulating media that survives a crash).
-pub type SharedBytes = Arc<Mutex<Vec<u8>>>;
+pub(crate) type SharedBytes = Arc<Mutex<Vec<u8>>>;
 
-/// An infallible in-memory [`Storage`] over a [`SharedBytes`] buffer.
+/// An infallible in-memory [`Storage`] over a [`SharedBytes`] buffer,
+/// handed out by [`MemDir`].
 ///
 /// The lock-discipline pass identifies locks by their declared name,
 /// crate-wide — this one is `bytes`, distinct from the directory-level
 /// `entries`/`faults` locks and the WAL's `state`/`wal`/`dir`.
 #[derive(Debug, Default)]
-pub struct MemStorage {
+pub(crate) struct MemStorage {
     bytes: SharedBytes,
 }
 
 impl MemStorage {
-    /// A fresh empty buffer.
-    pub fn new() -> MemStorage {
-        MemStorage::default()
-    }
-
     /// A storage view over an existing buffer (e.g. bytes surviving a
     /// simulated crash).
-    pub fn with_bytes(bytes: SharedBytes) -> MemStorage {
+    pub(crate) fn with_bytes(bytes: SharedBytes) -> MemStorage {
         MemStorage { bytes }
-    }
-
-    /// The shared buffer handle; clone it before dropping the storage to
-    /// keep the "media" alive across a simulated crash.
-    pub fn bytes(&self) -> SharedBytes {
-        Arc::clone(&self.bytes)
     }
 }
 
@@ -210,179 +168,6 @@ impl Storage for MemStorage {
             bytes.truncate(len);
         }
         Ok(())
-    }
-}
-
-/// A deterministic fault schedule for [`FaultStorage`].
-///
-/// All fields default to "no fault"; a torture test constructs one plan
-/// per enumerated crash point.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultPlan {
-    /// After this many appended bytes, appends fail. The failing append
-    /// persists only the bytes that fit under the budget (a torn write).
-    pub fail_after_bytes: Option<u64>,
-    /// When set, [`Storage::sync`] fails once the write budget is
-    /// exhausted (otherwise only appends fail).
-    pub fail_sync: bool,
-    /// Fail every [`Storage::read_all`] / [`Storage::len`] call.
-    pub fail_reads: bool,
-    /// After the write fault trips, XOR the byte at this offset with
-    /// 0xFF (a bit-flipped torn tail). Out-of-range offsets are ignored.
-    pub corrupt_at: Option<u64>,
-    /// When true the write fault is transient (an ENOSPC/EIO that
-    /// clears): the failing append still lands as a torn write, but the
-    /// fault un-trips afterwards and later writes succeed. Otherwise
-    /// the fault is permanent — once tripped, every later write
-    /// (append, sync when planned, truncate) fails, like dead media.
-    pub transient: bool,
-    /// Fail every [`Storage::truncate`] call (independently of the
-    /// write-budget trip). Exercises the WAL's repair-failure path: a
-    /// torn tail that cannot be cut away must degrade the log rather
-    /// than let a later append land behind the damage.
-    pub fail_truncate: bool,
-    /// At-rest corruption: on the *next* [`Storage::read_all`], XOR the
-    /// media byte at this offset with 0xFF — persistently, so every
-    /// later read sees the same rot. Unlike [`FaultPlan::corrupt_at`]
-    /// this fires without any write fault, modelling bit rot in bytes
-    /// whose sync was long since acknowledged (the scrub case).
-    /// Out-of-range offsets are ignored. Fires once.
-    pub corrupt_at_rest: Option<u64>,
-}
-
-/// A [`MemStorage`] that injects the faults of a [`FaultPlan`].
-///
-/// Faults are deterministic: the same plan over the same append sequence
-/// always damages the same byte of the same record.
-#[derive(Debug)]
-pub struct FaultStorage {
-    inner: MemStorage,
-    plan: FaultPlan,
-    written: u64,
-    /// Set once the write budget is exhausted; all later writes fail.
-    tripped: bool,
-}
-
-impl FaultStorage {
-    /// A faulty storage over a fresh buffer.
-    pub fn new(plan: FaultPlan) -> FaultStorage {
-        FaultStorage {
-            inner: MemStorage::new(),
-            plan,
-            written: 0,
-            tripped: false,
-        }
-    }
-
-    /// A faulty storage over existing bytes (fault injection on top of a
-    /// previous crash's survivors).
-    pub fn with_bytes(bytes: SharedBytes, plan: FaultPlan) -> FaultStorage {
-        FaultStorage {
-            inner: MemStorage::with_bytes(bytes),
-            plan,
-            written: 0,
-            tripped: false,
-        }
-    }
-
-    /// The shared buffer handle (the surviving "media").
-    pub fn bytes(&self) -> SharedBytes {
-        self.inner.bytes()
-    }
-
-    /// Whether the write fault has tripped.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped
-    }
-
-    fn fault(&self, what: &str) -> io::Error {
-        io::Error::other(format!("injected fault: {what}"))
-    }
-
-    /// Applies the post-trip corruption, if planned.
-    fn corrupt(&mut self) {
-        if let Some(offset) = self.plan.corrupt_at {
-            let bytes = self.inner.bytes();
-            let mut bytes = lock(&bytes);
-            if let Ok(idx) = usize::try_from(offset) {
-                if let Some(byte) = bytes.get_mut(idx) {
-                    *byte ^= 0xFF;
-                }
-            }
-        }
-    }
-}
-
-impl Storage for FaultStorage {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        if self.tripped {
-            return Err(self.fault("append after write fault"));
-        }
-        let budget = match self.plan.fail_after_bytes {
-            Some(limit) => limit.saturating_sub(self.written),
-            None => u64::MAX,
-        };
-        if (data.len() as u64) <= budget {
-            self.written += data.len() as u64;
-            return self.inner.append(data);
-        }
-        // Torn write: the prefix that fits under the budget lands, the
-        // rest is lost, and the fault trips (permanently, unless the
-        // plan marks it transient).
-        let keep = usize::try_from(budget)
-            .unwrap_or(usize::MAX)
-            .min(data.len());
-        let _ = self.inner.append(&data[..keep]);
-        self.written += keep as u64;
-        if self.plan.transient {
-            self.plan.fail_after_bytes = None;
-        } else {
-            self.tripped = true;
-        }
-        self.corrupt();
-        Err(self.fault("write budget exhausted"))
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if self.tripped && self.plan.fail_sync {
-            return Err(self.fault("sync after write fault"));
-        }
-        self.inner.sync()
-    }
-
-    fn len(&mut self) -> io::Result<u64> {
-        if self.plan.fail_reads {
-            return Err(self.fault("len"));
-        }
-        self.inner.len()
-    }
-
-    fn read_all(&mut self) -> io::Result<Vec<u8>> {
-        if self.plan.fail_reads {
-            return Err(self.fault("read_all"));
-        }
-        if let Some(offset) = self.plan.corrupt_at_rest.take() {
-            // Bit rot lands in the shared media itself, so the damage
-            // outlives this handle exactly like rot on a real disk.
-            let bytes = self.inner.bytes();
-            let mut bytes = lock(&bytes);
-            if let Ok(idx) = usize::try_from(offset) {
-                if let Some(byte) = bytes.get_mut(idx) {
-                    *byte ^= 0xFF;
-                }
-            }
-        }
-        self.inner.read_all()
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        if self.plan.fail_truncate {
-            return Err(self.fault("truncate"));
-        }
-        if self.tripped {
-            return Err(self.fault("truncate after write fault"));
-        }
-        self.inner.truncate(len)
     }
 }
 
@@ -459,11 +244,32 @@ pub struct FsDir {
 impl FsDir {
     /// Opens (creating if absent) the directory at `path`.
     ///
+    /// A directory this call creates is not itself durable until its
+    /// parent is synced; without that, a crash shortly after creation
+    /// can lose the directory — and every synced segment in it — on
+    /// some filesystems. So the parent of every directory created here
+    /// (`path` and any missing ancestors) is fsynced, deepest first,
+    /// before returning.
+    ///
     /// # Errors
     ///
-    /// Propagates creation/open failures.
+    /// Propagates creation/open/sync failures.
     pub fn open(path: &Path) -> io::Result<FsDir> {
+        let mut created = Vec::new();
+        let mut missing = Some(path);
+        while let Some(dir) = missing.filter(|d| !d.as_os_str().is_empty() && !d.is_dir()) {
+            created.push(dir);
+            missing = dir.parent();
+        }
         std::fs::create_dir_all(path)?;
+        #[cfg(unix)]
+        for dir in created {
+            let parent = match dir.parent() {
+                Some(p) if !p.as_os_str().is_empty() => p,
+                _ => Path::new("."),
+            };
+            File::open(parent)?.sync_all()?;
+        }
         Ok(FsDir {
             path: path.to_path_buf(),
         })
@@ -649,8 +455,8 @@ impl Dir for MemDir {
 /// A deterministic fault schedule for [`FaultDir`].
 ///
 /// Byte faults share one budget across every file written through the
-/// directory (the failing write tears, like [`FaultPlan`]); entry
-/// faults fire on the Nth call of their kind, 0-based, leaving the
+/// directory (the failing write persists only the prefix that fits — a
+/// torn write); entry faults fire on the Nth call of their kind, 0-based, leaving the
 /// directory unchanged (an atomic rename either happens or doesn't).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DirFaultPlan {
@@ -669,6 +475,9 @@ pub struct DirFaultPlan {
     /// Fail the Nth [`Dir::sync`] call (entry durability then unknown —
     /// the live view keeps the change but a crash reverts it).
     pub fail_dir_sync_at: Option<u64>,
+    /// Fail every [`Storage::read_all`] / [`Storage::len`] on the
+    /// directory's files (unreadable media).
+    pub fail_reads: bool,
 }
 
 /// Shared fault bookkeeping between a [`FaultDir`] and the files it
@@ -695,8 +504,7 @@ impl DirFaultState {
 
 /// A [`MemDir`] that injects the faults of a [`DirFaultPlan`].
 ///
-/// Deterministic like [`FaultStorage`]: the same plan over the same
-/// operation sequence always fails the same call and tears the same
+/// Deterministic: the same plan over the same operation sequence always fails the same call and tears the same
 /// byte. Combine with [`MemDir::crashed`] on the underlying state to
 /// enumerate crash points through rotation, checkpoint, and retention.
 #[derive(Debug)]
@@ -836,10 +644,16 @@ impl Storage for FaultFile {
     }
 
     fn len(&mut self) -> io::Result<u64> {
+        if lock_fault(&self.faults).plan.fail_reads {
+            return Err(DirFaultState::fault("len"));
+        }
         self.inner.len()
     }
 
     fn read_all(&mut self) -> io::Result<Vec<u8>> {
+        if lock_fault(&self.faults).plan.fail_reads {
+            return Err(DirFaultState::fault("read_all"));
+        }
         self.inner.read_all()
     }
 
@@ -934,7 +748,7 @@ mod tests {
 
     #[test]
     fn mem_storage_round_trips() {
-        let mut s = MemStorage::new();
+        let mut s = MemStorage::default();
         s.append(b"hello ").unwrap();
         s.append(b"world").unwrap();
         s.sync().unwrap();
@@ -949,10 +763,9 @@ mod tests {
 
     #[test]
     fn shared_bytes_survive_the_handle() {
-        let s = MemStorage::new();
-        let bytes = s.bytes();
+        let bytes = SharedBytes::default();
         {
-            let mut s = s;
+            let mut s = MemStorage::with_bytes(Arc::clone(&bytes));
             s.append(b"durable").unwrap();
         } // "crash": the storage handle is gone
         let mut reopened = MemStorage::with_bytes(bytes);
@@ -960,125 +773,20 @@ mod tests {
     }
 
     #[test]
-    fn file_storage_round_trips() {
-        let path = std::env::temp_dir().join(format!("bmb-storage-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut s = FileStorage::open(&path).unwrap();
-            s.append(b"abc").unwrap();
-            s.sync().unwrap();
-        }
-        {
-            let mut s = FileStorage::open(&path).unwrap();
-            assert_eq!(s.read_all().unwrap(), b"abc");
-            s.append(b"def").unwrap();
-            s.truncate(4).unwrap();
-            assert_eq!(s.read_all().unwrap(), b"abcd");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn fault_storage_tears_the_failing_write() {
-        let mut s = FaultStorage::new(FaultPlan {
-            fail_after_bytes: Some(4),
-            ..FaultPlan::default()
-        });
-        s.append(b"ab").unwrap();
-        let err = s.append(b"cdef").unwrap_err();
-        assert!(err.to_string().contains("injected fault"), "{err}");
-        // Only the budgeted prefix landed.
-        assert_eq!(s.read_all().unwrap(), b"abcd");
-        assert!(s.is_tripped());
-        assert!(s.append(b"x").is_err());
-        assert!(s.truncate(0).is_err(), "dead media fails truncate too");
-    }
-
-    #[test]
-    fn transient_fault_tears_once_then_heals() {
-        let mut s = FaultStorage::new(FaultPlan {
-            fail_after_bytes: Some(4),
-            transient: true,
-            ..FaultPlan::default()
-        });
-        s.append(b"ab").unwrap();
-        assert!(s.append(b"cdef").is_err());
-        assert_eq!(s.read_all().unwrap(), b"abcd", "the failing write tears");
-        assert!(!s.is_tripped());
-        // The fault has cleared: repairs and later writes succeed.
-        s.truncate(2).unwrap();
-        s.append(b"xy").unwrap();
-        assert_eq!(s.read_all().unwrap(), b"abxy");
-    }
-
-    #[test]
-    fn fault_storage_corrupts_after_trip() {
-        let mut s = FaultStorage::new(FaultPlan {
-            fail_after_bytes: Some(3),
-            corrupt_at: Some(1),
-            ..FaultPlan::default()
-        });
-        assert!(s.append(b"abcdef").is_err());
-        assert_eq!(s.read_all().unwrap(), [b'a', b'b' ^ 0xFF, b'c']);
-    }
-
-    #[test]
-    fn fault_storage_read_and_sync_faults() {
-        let mut s = FaultStorage::new(FaultPlan {
+    fn fault_dir_read_faults_fail_reads_only() {
+        let mut d = FaultDir::new(DirFaultPlan {
             fail_reads: true,
-            ..FaultPlan::default()
+            ..DirFaultPlan::default()
         });
-        assert!(s.read_all().is_err());
-        assert!(s.len().is_err());
-
-        let mut s = FaultStorage::new(FaultPlan {
-            fail_after_bytes: Some(0),
-            fail_sync: true,
-            ..FaultPlan::default()
-        });
-        assert!(s.append(b"a").is_err());
-        assert!(s.sync().is_err());
-    }
-
-    #[test]
-    fn planned_truncate_fault_fails_only_truncate() {
-        let mut s = FaultStorage::new(FaultPlan {
-            fail_truncate: true,
-            ..FaultPlan::default()
-        });
-        s.append(b"abc").unwrap();
-        assert!(s.truncate(1).is_err(), "planned truncate fault");
-        // Appends and reads are unaffected.
-        s.append(b"d").unwrap();
-        assert_eq!(s.read_all().unwrap(), b"abcd");
-    }
-
-    #[test]
-    fn at_rest_corruption_fires_on_next_read() {
-        let mut s = FaultStorage::new(FaultPlan {
-            corrupt_at_rest: Some(1),
-            ..FaultPlan::default()
-        });
-        // The write path is untouched: appends and syncs succeed.
-        s.append(b"abc").unwrap();
-        s.sync().unwrap();
-        assert_eq!(s.read_all().unwrap(), [b'a', b'b' ^ 0xFF, b'c']);
-        // The rot is persistent media damage, not a transient read
-        // error: a second read sees the same bytes (no double flip).
-        assert_eq!(s.read_all().unwrap(), [b'a', b'b' ^ 0xFF, b'c']);
-        // ...and it survives the handle, like a real disk.
-        let bytes = s.bytes();
-        drop(s);
-        let mut reopened = MemStorage::with_bytes(bytes);
-        assert_eq!(reopened.read_all().unwrap(), [b'a', b'b' ^ 0xFF, b'c']);
-
-        // An out-of-range offset is ignored.
-        let mut s = FaultStorage::new(FaultPlan {
-            corrupt_at_rest: Some(100),
-            ..FaultPlan::default()
-        });
-        s.append(b"xy").unwrap();
-        assert_eq!(s.read_all().unwrap(), b"xy");
+        let mut f = d.create("f").unwrap();
+        // Writes are unaffected...
+        f.append(b"abc").unwrap();
+        f.sync().unwrap();
+        // ...but the bytes cannot be read back, through any handle.
+        assert!(f.read_all().is_err());
+        assert!(f.len().is_err());
+        assert!(d.open("f").unwrap().read_all().is_err());
+        assert_eq!(d.list().unwrap(), vec!["f".to_string()]);
     }
 
     #[test]
@@ -1158,7 +866,13 @@ mod tests {
         let root = std::env::temp_dir().join(format!("bmb-fsdir-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         {
+            // Missing ancestors are created along with the directory.
+            let mut d = FsDir::open(&root.join("a").join("b")).unwrap();
+            assert!(d.list().unwrap().is_empty());
             let mut d = FsDir::open(&root).unwrap();
+            assert_eq!(d.list().unwrap(), vec!["a".to_string()]);
+            d.delete("a").unwrap_err(); // a directory, not a file
+            std::fs::remove_dir_all(root.join("a")).unwrap();
             assert!(d.list().unwrap().is_empty());
             let mut f = d.create("x.tmp").unwrap();
             f.append(b"data").unwrap();
@@ -1168,6 +882,10 @@ mod tests {
             assert_eq!(d.list().unwrap(), vec!["x".to_string()]);
             assert_eq!(d.file_len("x").unwrap(), 4);
             assert_eq!(d.open("x").unwrap().read_all().unwrap(), b"data");
+            let mut x = d.open("x").unwrap();
+            x.append(b"-more").unwrap();
+            x.truncate(6).unwrap();
+            assert_eq!(x.read_all().unwrap(), b"data-m");
             assert!(d.open("absent").is_err());
             d.delete("x").unwrap();
             assert!(d.list().unwrap().is_empty());

@@ -53,7 +53,6 @@ pub const SERVE_SPEC: &[(&str, FlagKind)] = &[
     ("workers", FlagKind::Value),
     ("items", FlagKind::Value),
     ("segment-capacity", FlagKind::Value),
-    ("wal", FlagKind::Value),
     ("checkpoint-dir", FlagKind::Value),
     ("checkpoint-every", FlagKind::Value),
     ("checkpoint-interval-secs", FlagKind::Value),
@@ -394,12 +393,14 @@ fn spawn_scrubber(
 ///
 /// With a FILE the store is seeded from it; with `--items N` (and no
 /// FILE) the store starts empty over an `N`-item space. With
-/// `--wal PATH` ingest is crash-safe: appends are written to a
-/// checksummed write-ahead log before acknowledgement, and a restart
-/// against the same PATH replays every acknowledged basket and resumes
-/// at the recovered epoch. Prints the bound address
-/// (`listening on HOST:PORT`) before blocking in the accept loop; a
-/// client's `shutdown` command drains in-flight queries and exits 0.
+/// `--checkpoint-dir DIR` ingest is crash-safe: appends are written to
+/// the checksummed write-ahead log segments in DIR before
+/// acknowledgement, a background checkpointer snapshots the store, and
+/// a restart against the same DIR recovers from the newest checkpoint
+/// plus the WAL tail and resumes at the recovered epoch. Prints the
+/// bound address (`listening on HOST:PORT`) before blocking in the
+/// accept loop; a client's `shutdown` command drains in-flight queries
+/// and exits 0.
 /// With `--metrics-addr HOST:PORT` a second listener serves a
 /// Prometheus text snapshot at `/metrics` (announced as
 /// `metrics on http://HOST:PORT/metrics`). With `--checkpoint-dir` and
@@ -419,40 +420,8 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         metrics_addr: args.get::<String>("metrics-addr")?,
         ..Default::default()
     };
-    let ckpt_dir = args.get::<String>("checkpoint-dir")?;
-    let durable = match (args.get::<String>("wal")?, &ckpt_dir) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "--wal and --checkpoint-dir are mutually exclusive: the checkpoint \
-                 directory holds its own rotating WAL segments"
-                    .to_string(),
-            );
-        }
-        (Some(wal_path), None) => {
-            if args.positional(1).is_some() {
-                return Err(
-                    "--wal cannot be combined with a FILE seed: the log is the durable \
-                     source of truth; use --items N and ingest over the protocol"
-                        .to_string(),
-                );
-            }
-            let n_items = args
-                .get::<usize>("items")?
-                .ok_or("--wal requires --items N (the store's item-space size)")?;
-            let storage = bmb_basket::FileStorage::open(std::path::Path::new(&wal_path))
-                .map_err(|e| format!("cannot open wal {wal_path}: {e}"))?;
-            let (durable, report) =
-                bmb_basket::DurableStore::open(Box::new(storage), n_items, store_config)
-                    .map_err(|e| format!("cannot recover wal {wal_path}: {e}"))?;
-            writeln!(
-                out,
-                "recovered {} baskets from {wal_path} (epoch {})",
-                report.baskets_recovered, report.epoch
-            )
-            .map_err(sink)?;
-            Some(std::sync::Arc::new(durable))
-        }
-        (None, Some(dir_path)) => {
+    let durable = match args.get::<String>("checkpoint-dir")? {
+        Some(dir_path) => {
             if args.positional(1).is_some() {
                 return Err(
                     "--checkpoint-dir cannot be combined with a FILE seed: the directory \
@@ -464,7 +433,7 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             let n_items = args
                 .get::<usize>("items")?
                 .ok_or("--checkpoint-dir requires --items N (the store's item-space size)")?;
-            let dir = bmb_basket::FsDir::open(std::path::Path::new(dir_path))
+            let dir = bmb_basket::FsDir::open(std::path::Path::new(&dir_path))
                 .map_err(|e| format!("cannot open checkpoint dir {dir_path}: {e}"))?;
             let (durable, report) = bmb_basket::DurableStore::open_dir(
                 Box::new(dir),
@@ -485,7 +454,7 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             .map_err(sink)?;
             Some(std::sync::Arc::new(durable))
         }
-        (None, None) => None,
+        None => None,
     };
     let store = match &durable {
         Some(durable) => std::sync::Arc::clone(durable.store()),
@@ -532,20 +501,18 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let mut checkpointer = None;
     let mut scrubber = None;
     if let Some(durable) = &durable {
-        if ckpt_dir.is_some() {
-            let config = bmb_serve::CheckpointerConfig {
-                interval: Some(std::time::Duration::from_secs(
-                    args.get_or("checkpoint-interval-secs", 60u64)?,
-                )),
-                every_records: Some(args.get_or("checkpoint-every", 100_000u64)?),
-                ..Default::default()
-            };
-            checkpointer = Some(bmb_serve::Checkpointer::spawn(
-                std::sync::Arc::clone(durable),
-                config,
-            ));
-            scrubber = spawn_scrubber(args, durable, repair_peer, out)?;
-        }
+        let config = bmb_serve::CheckpointerConfig {
+            interval: Some(std::time::Duration::from_secs(
+                args.get_or("checkpoint-interval-secs", 60u64)?,
+            )),
+            every_records: Some(args.get_or("checkpoint-every", 100_000u64)?),
+            ..Default::default()
+        };
+        checkpointer = Some(bmb_serve::Checkpointer::spawn(
+            std::sync::Arc::clone(durable),
+            config,
+        ));
+        scrubber = spawn_scrubber(args, durable, repair_peer, out)?;
     }
     let metrics = server.metrics();
     writeln!(out, "listening on {}", server.local_addr()).map_err(sink)?;
@@ -611,11 +578,10 @@ pub fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// `bmb wal inspect PATH` — dump a WAL file's records and tail state.
+/// `bmb wal inspect PATH` — dump a WAL segment's records and tail state.
 ///
-/// Works on both formats: a single-file WAL (`--wal PATH`) and a
-/// rotating segment out of a checkpoint directory (`wal.000017`).
-/// Prints one line per record (offset, kind, payload size, CRC status,
+/// PATH is one rotating segment out of a checkpoint directory
+/// (`wal.000017`). Prints one line per record (offset, kind, payload size, CRC status,
 /// running epoch) and ends with a diagnosis line — `clean`, or what is
 /// torn and why recovery will truncate there. `--limit N` caps the
 /// per-record lines (the summary always prints). With `--dir DIR`
@@ -649,15 +615,8 @@ pub fn cmd_wal(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         bmb_basket::inspect_wal_bytes(&bytes).map_err(|e| format!("{path} is not a WAL: {e}"))?;
     let sink = |e: std::io::Error| e.to_string();
     match inspection.base_epoch {
-        Some(base) => {
-            writeln!(
-                out,
-                "{path}: format {} (segment), base epoch {base}",
-                inspection.format
-            )
-            .map_err(sink)?;
-        }
-        None => writeln!(out, "{path}: format {}", inspection.format).map_err(sink)?,
+        Some(base) => writeln!(out, "{path}: segment, base epoch {base}").map_err(sink)?,
+        None => writeln!(out, "{path}: torn segment header").map_err(sink)?,
     }
     for record in inspection.records.iter().take(limit) {
         writeln!(
@@ -740,7 +699,7 @@ fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), S
         if shown < limit {
             let base = match inspection.base_epoch {
                 Some(base) => format!("base epoch {base}"),
-                None => format!("no segment header (format {})", inspection.format),
+                None => "no segment header".to_string(),
             };
             writeln!(
                 out,
@@ -1401,8 +1360,7 @@ USAGE:
                      (KIND: quest | census | text)
   bmb stats FILE     [--numeric]
   bmb serve [FILE]   [--addr HOST:PORT] [--workers N] [--items N]
-                     [--segment-capacity N] [--wal PATH]
-                     [--checkpoint-dir DIR] [--checkpoint-every N]
+                     [--segment-capacity N] [--checkpoint-dir DIR] [--checkpoint-every N]
                      [--checkpoint-interval-secs N]
                      [--scrub-interval-secs N] [--repair-peer HOST:PORT]
                      [--max-connections N] [--metrics-addr HOST:PORT]
@@ -1748,92 +1706,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_wal_without_items_is_a_user_error() {
-        let a = args(SERVE_SPEC, &["serve", "--wal", "/tmp/x.wal"]);
+    fn serve_checkpoint_dir_without_items_is_a_user_error() {
+        let a = args(SERVE_SPEC, &["serve", "--checkpoint-dir", "/tmp/x.d"]);
         let mut out = Vec::new();
         assert!(cmd_serve(&a, &mut out).unwrap_err().contains("--items"));
-    }
-
-    /// Boots `bmb serve --wal`, returns the bound address and handles.
-    fn spawn_wal_server(
-        wal: &std::path::Path,
-    ) -> (
-        String,
-        SharedBuf,
-        std::thread::JoinHandle<Result<(), String>>,
-    ) {
-        let serve_args = args(
-            SERVE_SPEC,
-            &[
-                "serve",
-                "--items",
-                "4",
-                "--wal",
-                wal.to_str().unwrap(),
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "2",
-            ],
-        );
-        let buf = SharedBuf::default();
-        let thread = {
-            let mut sink = buf.clone();
-            std::thread::spawn(move || cmd_serve(&serve_args, &mut sink))
-        };
-        let addr = wait_for_addr(&buf);
-        (addr, buf, thread)
-    }
-
-    #[test]
-    fn serve_with_wal_recovers_across_restart() {
-        let wal = std::env::temp_dir().join(format!("bmb-cli-wal-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&wal);
-
-        // First life: a fresh WAL, three baskets ingested durably.
-        let (addr, buf, thread) = spawn_wal_server(&wal);
-        assert!(
-            buf.contents().contains("recovered 0 baskets"),
-            "{}",
-            buf.contents()
-        );
-        let ingest = args(
-            QUERY_SPEC,
-            &[
-                "query",
-                &addr,
-                r#"{"cmd":"ingest","baskets":[[0,1],[1,2],[0,1]]}"#,
-                r#"{"cmd":"shutdown"}"#,
-            ],
-        );
-        let mut out = Vec::new();
-        cmd_query(&ingest, &mut out).unwrap();
-        assert!(String::from_utf8_lossy(&out).contains(r#""epoch":3"#));
-        thread.join().unwrap().unwrap();
-
-        // Second life: the same WAL replays, the epoch resumes at 3.
-        let (addr, buf, thread) = spawn_wal_server(&wal);
-        assert!(
-            buf.contents().contains("(epoch 3)"),
-            "restart must announce the recovered epoch: {}",
-            buf.contents()
-        );
-        let probe = args(
-            QUERY_SPEC,
-            &[
-                "query",
-                &addr,
-                r#"{"cmd":"chi2","items":[0,1]}"#,
-                r#"{"cmd":"shutdown"}"#,
-            ],
-        );
-        let mut out = Vec::new();
-        cmd_query(&probe, &mut out).unwrap();
-        let rendered = String::from_utf8_lossy(&out).into_owned();
-        assert!(rendered.contains(r#""support":2"#), "{rendered}");
-        assert!(rendered.contains(r#""epoch":3"#), "{rendered}");
-        thread.join().unwrap().unwrap();
-        let _ = std::fs::remove_file(&wal);
     }
 
     /// Boots `bmb serve --checkpoint-dir`, returns address and handles.
@@ -1930,46 +1806,34 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_wal_plus_checkpoint_dir() {
-        let a = args(
-            SERVE_SPEC,
-            &[
-                "serve",
-                "--items",
-                "4",
-                "--wal",
-                "/tmp/x.wal",
-                "--checkpoint-dir",
-                "/tmp/x.d",
-            ],
-        );
-        let mut out = Vec::new();
-        assert!(cmd_serve(&a, &mut out)
-            .unwrap_err()
-            .contains("mutually exclusive"));
+    fn serve_rejects_the_removed_wal_flag() {
+        let tokens = ["serve", "--items", "4", "--wal", "/tmp/x.wal"];
+        let err = Args::parse(tokens.iter().map(|s| s.to_string()), SERVE_SPEC).unwrap_err();
+        assert!(err.contains("unknown flag --wal"), "{err}");
     }
 
     #[test]
     fn wal_inspect_dumps_records_and_diagnosis() {
-        // Build a real single-file WAL, then inspect it.
-        let wal = std::env::temp_dir().join(format!("bmb-cli-inspect-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&wal);
+        // Build a real checkpoint directory, then inspect its segment.
+        let dir = std::env::temp_dir().join(format!("bmb-cli-inspect-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         {
-            let storage = bmb_basket::FileStorage::open(&wal).unwrap();
-            let (durable, _) = bmb_basket::DurableStore::open(
-                Box::new(storage),
+            let (durable, _) = bmb_basket::DurableStore::open_dir(
+                Box::new(bmb_basket::FsDir::open(&dir).unwrap()),
                 4,
                 bmb_basket::StoreConfig::default(),
+                bmb_basket::DurabilityConfig::default(),
             )
             .unwrap();
             durable.append_ids([0, 1]).unwrap();
             durable.append_ids([1, 2]).unwrap();
         }
+        let wal = dir.join("wal.000000");
         let a = args(WAL_SPEC, &["wal", "inspect", wal.to_str().unwrap()]);
         let mut out = Vec::new();
         cmd_wal(&a, &mut out).unwrap();
         let rendered = String::from_utf8(out).unwrap();
-        assert!(rendered.contains("format v1"), "{rendered}");
+        assert!(rendered.contains("segment, base epoch 0"), "{rendered}");
         assert!(rendered.contains("batch"), "{rendered}");
         assert!(rendered.contains("diagnosis: clean"), "{rendered}");
         assert!(rendered.contains("end epoch: 2"), "{rendered}");
@@ -1984,7 +1848,7 @@ mod tests {
         let rendered = String::from_utf8(out).unwrap();
         assert!(!rendered.contains("diagnosis: clean"), "{rendered}");
         assert!(rendered.contains("end epoch: 1"), "{rendered}");
-        std::fs::remove_file(&wal).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -68,10 +68,6 @@ pub struct Checkpointer {
 
 impl Checkpointer {
     /// Spawns the checkpointer thread over `durable`.
-    ///
-    /// The store must be checkpointed (opened via `open_dir`);
-    /// otherwise every attempt fails with `NotCheckpointed` and is
-    /// logged — prefer checking `durable.is_checkpointed()` first.
     pub fn spawn(durable: Arc<DurableStore>, config: CheckpointerConfig) -> Checkpointer {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);

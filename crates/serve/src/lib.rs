@@ -41,7 +41,7 @@
 
 #![warn(missing_docs)]
 
-/// The background checkpointer thread (directory-mode stores).
+/// The background checkpointer thread.
 pub mod checkpointer;
 /// A small blocking protocol client.
 pub mod client;

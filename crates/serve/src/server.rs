@@ -1006,14 +1006,13 @@ fn dispatch_engine(
         Request::Checkpoint => {
             let Some(durable) = durable else {
                 return Err(ServiceFailure::other(
-                    "server has no durable store (started without --wal)".to_string(),
+                    "server has no durable store (started without --checkpoint-dir)".to_string(),
                 ));
             };
             let stats = durable.checkpoint().map_err(|e| match e {
                 bmb_basket::wal::CheckpointError::Io(io) => {
                     ServiceFailure::io(format!("checkpoint failed: {io}"))
                 }
-                other => ServiceFailure::other(other.to_string()),
             })?;
             let micros = u64::try_from(stats.duration.as_micros()).unwrap_or(u64::MAX);
             Ok(Value::object()
@@ -1036,7 +1035,7 @@ fn dispatch_engine(
                 Some(durable) if durable.is_healthy() => "healthy",
                 Some(_) => "degraded",
             };
-            let checkpointed = durable.is_some_and(|d| d.is_checkpointed());
+            let checkpointed = durable.is_some();
             let last_ckpt = durable.map(|d| d.last_checkpoint_epoch()).unwrap_or(0);
             Ok(Value::object()
                 .with("requests", Value::Int(metrics.requests as i64))
@@ -1125,7 +1124,7 @@ fn dispatch_engine(
         } => {
             let Some(durable) = durable else {
                 return Err(ServiceFailure::other(
-                    "server has no durable store (started without --wal)".to_string(),
+                    "server has no durable store (started without --checkpoint-dir)".to_string(),
                 ));
             };
             // Bound the response size regardless of what the follower
@@ -1173,7 +1172,7 @@ fn dispatch_engine(
         Request::Scrub { peer } => {
             let Some(durable) = durable else {
                 return Err(ServiceFailure::other(
-                    "server has no durable store (started without --wal)".to_string(),
+                    "server has no durable store (started without --checkpoint-dir)".to_string(),
                 ));
             };
             // The request's peer overrides the configured repair peer so

@@ -1,7 +1,7 @@
 //! Fault-tolerance integration tests for the serving layer.
 //!
-//! * A server restarted against the same WAL file resumes at the
-//!   recovered epoch and answers queries **byte-identically** to the
+//! * A server restarted against the same durability directory resumes
+//!   at the recovered epoch and answers queries **byte-identically** to the
 //!   pre-crash server (raw response lines compared, so every f64 bit
 //!   pattern is pinned). The per-request `"trace"` field is stripped
 //!   before comparing: a trace id names a request, not an answer, and
@@ -17,29 +17,30 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bmb_basket::wal::DurableStore;
-use bmb_basket::{FileStorage, StoreConfig};
+use bmb_basket::wal::{DurabilityConfig, DurableStore};
+use bmb_basket::{FsDir, StoreConfig};
 use bmb_core::{EngineConfig, QueryEngine};
 use bmb_serve::json::{parse, Value};
 use bmb_serve::{Client, ClientError, RetryClient, RetryPolicy, Server, ServerConfig};
 
-/// A unique scratch path for this test process (no tempfile dep).
-fn scratch_wal_path(tag: &str) -> PathBuf {
+/// A unique scratch directory for this test process (no tempfile dep).
+fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let pid = std::process::id();
-    std::env::temp_dir().join(format!("bmb-serve-durability-{pid}-{n}-{tag}.wal"))
+    std::env::temp_dir().join(format!("bmb-serve-durability-{pid}-{n}-{tag}"))
 }
 
-/// Opens (or recovers) a WAL-backed server over `path`.
+/// Opens (or recovers) a WAL-backed server over the directory `path`.
 fn wal_server(path: &Path, config: ServerConfig) -> (bmb_serve::server::RunningServer, u64) {
-    let storage = FileStorage::open(path).expect("open wal file");
-    let (durable, report) = DurableStore::open(
-        Box::new(storage),
+    let dir = FsDir::open(path).expect("open durability dir");
+    let (durable, report) = DurableStore::open_dir(
+        Box::new(dir),
         8,
         StoreConfig {
             segment_capacity: 3,
         },
+        DurabilityConfig::default(),
     )
     .expect("open durable store");
     let durable = Arc::new(durable);
@@ -64,7 +65,7 @@ fn strip_trace(line: &str) -> &str {
 
 #[test]
 fn server_restart_resumes_at_recovered_epoch() {
-    let path = scratch_wal_path("restart");
+    let path = scratch_dir("restart");
     let config = ServerConfig::default();
 
     // First life: ingest through the server, capture a query answer.
@@ -88,7 +89,7 @@ fn server_restart_resumes_at_recovered_epoch() {
     drop(client);
     running.stop().expect("clean stop");
 
-    // Second life: same WAL file; the store must resume at epoch 6 and
+    // Second life: same directory; the store must resume at epoch 6 and
     // answer the same query with the same bytes.
     let (running, recovered_epoch) = wal_server(&path, config);
     assert_eq!(
@@ -111,12 +112,12 @@ fn server_restart_resumes_at_recovered_epoch() {
     assert_eq!(ingest.get("epoch").and_then(Value::as_u64), Some(7));
     drop(client);
     running.stop().expect("clean stop");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn connection_limit_rejects_with_retryable_error() {
-    let path = scratch_wal_path("admission");
+    let path = scratch_dir("admission");
     let (running, _) = wal_server(
         &path,
         ServerConfig {
@@ -150,12 +151,12 @@ fn connection_limit_rejects_with_retryable_error() {
     assert_eq!(snapshot.overload_errors, 1);
     drop(first);
     running.stop().expect("clean stop");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn zero_deadline_fails_queries_but_not_ingest() {
-    let path = scratch_wal_path("deadline");
+    let path = scratch_dir("deadline");
     let (running, _) = wal_server(
         &path,
         ServerConfig {
@@ -181,12 +182,12 @@ fn zero_deadline_fails_queries_but_not_ingest() {
     assert!(snapshot.deadline_errors >= 1);
     drop(client);
     running.stop().expect("clean stop");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn retry_client_retries_transient_errors_then_gives_up() {
-    let path = scratch_wal_path("retry");
+    let path = scratch_dir("retry");
     let (running, _) = wal_server(
         &path,
         ServerConfig {
@@ -210,5 +211,5 @@ fn retry_client_retries_transient_errors_then_gives_up() {
     // Every attempt reached the server: the retry loop really retried.
     assert_eq!(running.metrics.snapshot().requests, 3);
     running.stop().expect("clean stop");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }

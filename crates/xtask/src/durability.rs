@@ -11,7 +11,11 @@
 //! - **ack-before-sync**: in `wal.rs`, every `pub fn append*` (the WAL
 //!   ack surface) must transitively reach a sync call through the
 //!   file's own helpers — acknowledging an append that never syncs
-//!   would break crash-durability of acknowledged writes.
+//!   would break crash-durability of acknowledged writes. The rule
+//!   only sees that one file, so a crate with no `wal.rs`, or a
+//!   `wal.rs` with no `pub fn append*`, is itself a finding: a split
+//!   that moved the ack path elsewhere would otherwise switch the rule
+//!   off without a word.
 //!
 //! Escape: `// lint:allow(durability)` on the flagged line (rule 1) or
 //! the `fn` line (rule 2).
@@ -34,6 +38,7 @@ pub fn check_crate(files: &[&SourceUnit], findings: &mut Vec<Finding>) {
             .map(|(i, u)| (i, u.funcs.as_slice())),
     );
 
+    let mut wal_files = 0usize;
     for (fi, unit) in files.iter().enumerate() {
         // Rule 1: rename-without-preceding-sync.
         for f in &unit.funcs {
@@ -72,11 +77,14 @@ pub fn check_crate(files: &[&SourceUnit], findings: &mut Vec<Finding>) {
         if unit.rel.file_name().is_none_or(|n| n != "wal.rs") {
             continue;
         }
+        wal_files += 1;
         let file_index = DefIndex::build([(fi, unit.funcs.as_slice())]);
+        let mut ack_surface = 0usize;
         for (xi, f) in unit.funcs.iter().enumerate() {
             if !f.is_pub || !f.name.starts_with("append") {
                 continue;
             }
+            ack_surface += 1;
             let mut seen = HashSet::new();
             if reaches_sync(unit, &file_index, xi, &mut seen)
                 || unit.lexed.allows(f.line, Lint::AckNoSync.allow_name())
@@ -92,6 +100,37 @@ pub fn check_crate(files: &[&SourceUnit], findings: &mut Vec<Finding>) {
                      acknowledged append must be durable (sync-before-ack, \
                      DESIGN.md §11)",
                     f.name
+                ),
+            });
+        }
+        if ack_surface == 0 {
+            findings.push(Finding {
+                lint: Lint::AckNoSync,
+                file: unit.rel.clone(),
+                line: 1,
+                message: "`wal.rs` defines no `pub fn append*`: the ack-before-sync rule \
+                          has nothing to check — keep the WAL ack surface in this file"
+                    .to_string(),
+            });
+        }
+    }
+
+    // The crate-level half of rule 2: the ack path must be where the
+    // rule looks for it.
+    if wal_files == 0 {
+        let anchor = files
+            .iter()
+            .find(|u| u.rel.file_name().is_some_and(|n| n == "lib.rs"))
+            .or(files.first());
+        if let Some(unit) = anchor {
+            findings.push(Finding {
+                lint: Lint::AckNoSync,
+                file: unit.rel.clone(),
+                line: 1,
+                message: format!(
+                    "crate `{}` has no `wal.rs`: the ack-before-sync rule has nothing \
+                     to check — keep the WAL ack path (`pub fn append*`) in `wal.rs`",
+                    unit.crate_name
                 ),
             });
         }

@@ -108,6 +108,31 @@ fn single_pass_configs_isolate_their_lint() {
     assert_eq!(findings.len(), 3);
 }
 
+/// A split that moves the WAL ack path out of `wal.rs`, or renames it
+/// away from `pub fn append*`, must not switch ack-before-sync off
+/// silently: the durability pass flags the missing ack surface itself.
+#[test]
+fn durability_pass_flags_a_missing_ack_surface() {
+    let only_durability = LintConfig {
+        durability: true,
+        ..LintConfig::none()
+    };
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let split = run_lint(&fixtures.join("ws_wal_split"), &only_durability).expect("lint runs");
+    assert_eq!(
+        triples(&split),
+        vec![(Lint::AckNoSync, "crates/basket/src/lib.rs".to_string(), 1)],
+        "a durability crate without wal.rs is a finding"
+    );
+    let renamed =
+        run_lint(&fixtures.join("ws_wal_no_append"), &only_durability).expect("lint runs");
+    assert_eq!(
+        triples(&renamed),
+        vec![(Lint::AckNoSync, "crates/basket/src/wal.rs".to_string(), 1)],
+        "a wal.rs without `pub fn append*` is a finding"
+    );
+}
+
 /// CI gate: every pass must catch *something* on the seeded fixtures —
 /// a pass that reports zero findings there has silently stopped seeing.
 #[test]

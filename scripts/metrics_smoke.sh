@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Observability smoke test: start `bmb serve` with a WAL and a
-# Prometheus /metrics listener, drive one query of each hot path
+# Observability smoke test: start `bmb serve` with a checkpoint
+# directory (its WAL) and a Prometheus /metrics listener, drive one query of each hot path
 # (ingest -> WAL, chi2 -> caches, border -> miner stages), then scrape
 # /metrics over plain HTTP and validate that
 #   * every exposition line parses (`# HELP`/`# TYPE` or `name[{labels}] value`),
@@ -16,10 +16,10 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 LOG="$(mktemp)"
-WAL="$(mktemp -u).wal"
-trap 'rm -f "$LOG" "$WAL"' EXIT
+WAL_DIR="$(mktemp -d)"
+trap 'rm -rf "$LOG" "$WAL_DIR"' EXIT
 
-"$BIN" serve --items 8 --wal "$WAL" --addr 127.0.0.1:0 \
+"$BIN" serve --items 8 --checkpoint-dir "$WAL_DIR" --addr 127.0.0.1:0 \
     --metrics-addr 127.0.0.1:0 >"$LOG" &
 SERVER_PID=$!
 
