@@ -35,15 +35,27 @@
 //! healed old primary adopts the newer generation, tails the new
 //! primary's WAL, and only serves again once caught up.
 //!
+//! A scatter is pipelined from the calling thread: it writes the
+//! `support_vec` request to every steady shard's primary in shard
+//! order, then reads each reply in the same order, so the shards work
+//! at once without a thread per shard. A slot that is not steady, or
+//! any failure on that path, goes through the one per-shard request
+//! path that owns mark-down, promotion, demotion, rejoin and retries.
+//!
 //! Lock discipline: `health` (per-shard state), `addr` (endpoint
-//! address) and `client` (per-endpoint retry client) are never held
-//! together; requests hold only the one `client` lock of the endpoint
-//! they speak to. The declared order is a contract for future code
-//! that ever needs to nest them.
-//! // lock:order(health < addr < client)
+//! address) and `slot` (the endpoint's checked-in retry client) are
+//! never held together, and no lock is held across I/O: a requester
+//! checks the endpoint's one client out of `slot`, talks with no lock
+//! held, and checks it back in, while a second requester waits for the
+//! slot. A scatter holds several endpoints at once; it checks them out
+//! in shard order and never waits for an endpoint while holding a
+//! higher-indexed one, and its fallbacks run only after every client
+//! is back. The declared order is a contract for future code that ever
+//! needs to nest the locks.
+//! // lock:order(health < addr < slot)
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use bmb_basket::{ContingencyTable, ItemId, Itemset};
@@ -178,25 +190,96 @@ impl ScrubTotals {
     }
 }
 
-/// One endpoint (primary or follower) with its own retry client. The
-/// address is mutable so an operator can re-point a revived shard that
-/// came back on a different port ([`CoordinatorService::reconnect_shard`]);
-/// the `addr` and `client` locks are never held together.
+/// One endpoint (primary or follower) with its own retry client, and
+/// so one connection. The address is mutable so an operator can
+/// re-point a revived shard that came back on a different port
+/// ([`CoordinatorService::reconnect_shard`]); the `addr` and `slot`
+/// locks are never held together.
 struct Endpoint {
     addr: Mutex<String>,
-    client: Mutex<RetryClient>,
+    /// The client while no requester has it checked out.
+    slot: Mutex<Option<RetryClient>>,
+    /// Signalled when a checked-out client comes back.
+    returned: Condvar,
 }
 
 impl Endpoint {
     fn new(addr: &str, retry: &RetryPolicy, timeout: Duration) -> Endpoint {
         Endpoint {
             addr: Mutex::new(addr.to_string()),
-            client: Mutex::new(RetryClient::new(addr, retry.clone()).with_timeout(timeout)),
+            slot: Mutex::new(Some(
+                RetryClient::new(addr, retry.clone()).with_timeout(timeout),
+            )),
+            returned: Condvar::new(),
         }
     }
 
     fn addr(&self) -> String {
         lock(&self.addr).clone()
+    }
+
+    /// Takes the client out of its slot, waiting while another
+    /// requester has it. The lease puts it back when dropped.
+    fn checkout(&self) -> Lease<'_> {
+        let mut slot = self
+            .returned
+            .wait_while(lock(&self.slot), |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        Lease {
+            endpoint: self,
+            client: slot.take(),
+            in_flight: false,
+        }
+    }
+}
+
+/// An endpoint's client, checked out for I/O with no lock held.
+struct Lease<'a> {
+    endpoint: &'a Endpoint,
+    /// `Some` from checkout until the drop puts it back.
+    client: Option<RetryClient>,
+    /// A request was sent and its reply not yet read.
+    in_flight: bool,
+}
+
+impl Lease<'_> {
+    fn client(&mut self) -> Result<&mut RetryClient, ClientError> {
+        self.client
+            .as_mut()
+            .ok_or_else(|| ClientError::Protocol("endpoint client already returned".to_string()))
+    }
+
+    /// A whole request, with the client's retries.
+    fn request(&mut self, request: &Value) -> Result<Value, ClientError> {
+        self.client()?.request(request)
+    }
+
+    /// The first half of a pipelined request; no retries.
+    fn send(&mut self, request: &Value) -> Result<(), ClientError> {
+        self.client()?.send(request)?;
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// The reply to [`Lease::send`]; no retries.
+    fn recv(&mut self) -> Result<Value, ClientError> {
+        let reply = self.client()?.recv();
+        self.in_flight = false;
+        reply
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        if let Some(mut client) = self.client.take() {
+            // A reply left unread would answer the next request on this
+            // connection: drop the connection instead.
+            if self.in_flight {
+                client.disconnect();
+            }
+            *lock(&self.endpoint.slot) = Some(client);
+            self.endpoint.returned.notify_one();
+        }
     }
 }
 
@@ -220,6 +303,68 @@ struct Gather {
 impl Gather {
     fn epoch_sum(&self) -> u64 {
         self.epochs.iter().sum()
+    }
+}
+
+/// The client half of one traced shard sub-request. Its id rides in
+/// the request as `"pspan"`, so the shard's server span parents onto
+/// it; [`RpcSpan::close`] turns it into the coordinator's span record.
+struct RpcSpan {
+    name: String,
+    trace: u64,
+    span: u64,
+    parent: u64,
+    start_unix_us: u64,
+    start: Instant,
+}
+
+impl RpcSpan {
+    /// When the calling thread carries a trace context: `request`
+    /// stamped with `"trace"` and a fresh span id as `"pspan"`, and
+    /// that span, started now. A `trace` sub-request's own "trace"
+    /// field is the query *target*; stamping the context over it would
+    /// corrupt the query, so trace fan-out travels unstamped.
+    fn open(request: &Value) -> Option<(Value, RpcSpan)> {
+        let trace = bmb_obs::trace::current_trace();
+        let cmd = request.get("cmd").and_then(Value::as_str).unwrap_or("?");
+        if !trace.is_set() || cmd == "trace" {
+            return None;
+        }
+        let span = bmb_obs::next_span_id();
+        let stamped = request
+            .clone()
+            .with("trace", Value::Str(trace.to_string()))
+            .with("pspan", Value::Str(format!("{span:016x}")));
+        let start_unix_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
+            .unwrap_or(0);
+        Some((
+            stamped,
+            RpcSpan {
+                name: format!("rpc:{cmd}"),
+                trace: trace.as_u64(),
+                span,
+                parent: bmb_obs::trace::current_span(),
+                start_unix_us,
+                start: Instant::now(),
+            },
+        ))
+    }
+
+    /// The finished span, for the sub-request sent to shard `shard`.
+    fn close(self, shard: usize, outcome: &str) -> SpanRecord {
+        SpanRecord {
+            name: self.name,
+            trace: self.trace,
+            span: self.span,
+            parent: self.parent,
+            start_unix_us: self.start_unix_us,
+            duration_us: u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX),
+            node: "coordinator".to_string(),
+            shard: shard as i64,
+            outcome: outcome.to_string(),
+        }
     }
 }
 
@@ -307,18 +452,20 @@ impl CoordinatorService {
     pub fn reconnect_shard(&self, index: usize, addr: &str) {
         let endpoint = &self.shards[index].primary;
         *lock(&endpoint.addr) = addr.to_string();
-        *lock(&endpoint.client) = RetryClient::new(addr, self.config.retry.clone())
-            .with_timeout(self.config.request_timeout);
+        // Swapped in once any request in flight on the old client ends.
+        endpoint.checkout().client = Some(
+            RetryClient::new(addr, self.config.retry.clone())
+                .with_timeout(self.config.request_timeout),
+        );
     }
 
     // ---- shard transport -------------------------------------------------
 
-    /// Sends one request to an endpoint. I/O happens under the
-    /// endpoint's own `client` lock (one lock, never nested).
+    /// Sends one request to an endpoint over its checked-out client;
+    /// no lock is held during the I/O.
     fn request_on(&self, endpoint: &Endpoint, request: &Value) -> Result<Value, ClientError> {
         self.metrics.fanout.inc();
-        let mut client = lock(&endpoint.client);
-        client.request(request) // lock:allow(io)
+        endpoint.checkout().request(request)
     }
 
     /// [`Self::request_on`] with generation fencing: the request is
@@ -332,38 +479,51 @@ impl CoordinatorService {
         shard: &ShardState,
         request: &Value,
     ) -> Result<Value, ClientError> {
-        if !self.config.fencing {
-            return self.request_on(endpoint, request);
-        }
-        let slot_gen = {
-            let health = lock(&shard.health);
-            health.generation
-        };
-        let value = if slot_gen > 0 {
-            let stamped = request.clone().with("gen", Value::Int(slot_gen as i64));
-            self.request_on(endpoint, &stamped)?
-        } else {
-            self.request_on(endpoint, request)?
-        };
-        if let Some(response_gen) = value.get("gen").and_then(Value::as_u64) {
-            let stale = {
-                let mut health = lock(&shard.health);
-                if response_gen < health.generation {
-                    true
-                } else {
-                    health.generation = response_gen;
-                    false
-                }
-            };
-            if stale {
-                self.metrics.stale_responses.inc();
-                self.event("stale shard response rejected", &endpoint.addr());
-                return Err(ClientError::Protocol(format!(
-                    "stale generation: response gen {response_gen} is below slot gen {slot_gen}"
-                )));
-            }
-        }
+        let stamped = self.stamp_generation(shard, request);
+        let value = self.request_on(endpoint, stamped.as_ref().unwrap_or(request))?;
+        self.check_generation(endpoint, shard, &value)?;
         Ok(value)
+    }
+
+    /// With fencing, `request` stamped with the slot's highest observed
+    /// generation as `"gen"`, once one is known; `None` sends it as is.
+    fn stamp_generation(&self, shard: &ShardState, request: &Value) -> Option<Value> {
+        if !self.config.fencing {
+            return None;
+        }
+        let slot_gen = lock(&shard.health).generation;
+        (slot_gen > 0).then(|| request.clone().with("gen", Value::Int(slot_gen as i64)))
+    }
+
+    /// With fencing, the check on a response from `endpoint`: a `"gen"`
+    /// below the slot's generation as it stands now is stale and
+    /// rejected; a newer one is adopted into the slot.
+    fn check_generation(
+        &self,
+        endpoint: &Endpoint,
+        shard: &ShardState,
+        value: &Value,
+    ) -> Result<(), ClientError> {
+        if !self.config.fencing {
+            return Ok(());
+        }
+        let Some(response_gen) = value.get("gen").and_then(Value::as_u64) else {
+            return Ok(());
+        };
+        let slot_gen = {
+            let mut health = lock(&shard.health);
+            let slot_gen = health.generation;
+            health.generation = slot_gen.max(response_gen);
+            slot_gen
+        };
+        if response_gen >= slot_gen {
+            return Ok(());
+        }
+        self.metrics.stale_responses.inc();
+        self.event("stale shard response rejected", &endpoint.addr());
+        Err(ClientError::Protocol(format!(
+            "stale generation: response gen {response_gen} is below slot gen {slot_gen}"
+        )))
     }
 
     /// One-time startup reconciliation for a slot with a follower: the
@@ -469,24 +629,9 @@ impl CoordinatorService {
     /// into [`Self::client_spans`] — the coordinator's half of the
     /// cross-node trace tree.
     fn shard_request(&self, index: usize, request: &Value) -> Result<Value, ServiceFailure> {
-        let trace = bmb_obs::trace::current_trace();
-        let cmd = request.get("cmd").and_then(Value::as_str).unwrap_or("?");
-        // A `trace` sub-request's own "trace" field is the query
-        // *target*; stamping the context over it would corrupt the
-        // query, so trace fan-out travels unstamped.
-        if !trace.is_set() || cmd == "trace" {
+        let Some((stamped, span)) = RpcSpan::open(request) else {
             return self.shard_request_inner(index, request);
-        }
-        let span_id = bmb_obs::next_span_id();
-        let start_unix_us = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-            .unwrap_or(0);
-        let start = Instant::now();
-        let stamped = request
-            .clone()
-            .with("trace", Value::Str(trace.to_string()))
-            .with("pspan", Value::Str(format!("{span_id:016x}")));
+        };
         let result = self.shard_request_inner(index, &stamped);
         let outcome = match &result {
             Ok(_) => "ok",
@@ -495,18 +640,23 @@ impl CoordinatorService {
                 _ => "error",
             },
         };
-        self.client_spans.record(SpanRecord {
-            name: format!("rpc:{cmd}"),
-            trace: trace.as_u64(),
-            span: span_id,
-            parent: bmb_obs::trace::current_span(),
-            start_unix_us,
-            duration_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-            node: "coordinator".to_string(),
-            shard: index as i64,
-            outcome: outcome.to_string(),
-        });
+        self.client_spans.record(span.close(index, outcome));
         result
+    }
+
+    /// A successful answer from a slot's primary: clears the slot's
+    /// failure state, and counts a rejoin when it was marked down.
+    fn primary_answered(&self, shard: &ShardState) {
+        let rejoined = {
+            let mut health = lock(&shard.health);
+            health.consecutive_failures = 0;
+            health.last_error = None;
+            health.down_since.take().is_some()
+        };
+        if rejoined {
+            self.metrics.rejoins.inc();
+            self.event("shard rejoined", &shard.primary.addr());
+        }
     }
 
     fn shard_request_inner(&self, index: usize, request: &Value) -> Result<Value, ServiceFailure> {
@@ -524,16 +674,7 @@ impl CoordinatorService {
         if !promoted && !resting {
             match self.fenced_request_on(&shard.primary, shard, request) {
                 Ok(value) => {
-                    let rejoined = {
-                        let mut health = lock(&shard.health);
-                        health.consecutive_failures = 0;
-                        health.last_error = None;
-                        health.down_since.take().is_some()
-                    };
-                    if rejoined {
-                        self.metrics.rejoins.inc();
-                        self.event("shard rejoined", &shard.primary.addr());
-                    }
+                    self.primary_answered(shard);
                     return Ok(value);
                 }
                 // The shard is alive but ahead of this coordinator:
@@ -643,31 +784,7 @@ impl CoordinatorService {
         let request = Value::object()
             .with("cmd", Value::Str("support_vec".to_string()))
             .with("itemsets", Value::Array(itemsets));
-        // Thread-locals don't cross `scope.spawn`: capture the trace
-        // context here and re-establish it inside each scatter thread
-        // so per-shard client spans parent onto the server span.
-        let trace = bmb_obs::trace::current_trace();
-        let parent_span = bmb_obs::trace::current_span();
-        let answers: Vec<Result<Value, ServiceFailure>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|index| {
-                    let request = &request;
-                    scope.spawn(move || {
-                        bmb_obs::trace::set_current_trace(trace);
-                        bmb_obs::trace::set_current_span(parent_span);
-                        self.shard_request(index, request)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle
-                        .join()
-                        .unwrap_or_else(|_| Err(ServiceFailure::other("scatter worker panicked")))
-                })
-                .collect()
-        });
+        let answers = self.scatter(&request);
         let mut supports = vec![0u64; subsets.len()];
         let mut n = 0u64;
         let mut epochs = Vec::with_capacity(self.shards.len());
@@ -683,6 +800,95 @@ impl CoordinatorService {
             n,
             epochs,
         })
+    }
+
+    /// Sends `request` to every shard from the calling thread and
+    /// returns the answers in shard order. Steady slots (primary
+    /// healthy, not promoted, reconciled) are pipelined: phase 1 checks
+    /// out each one's primary client in shard order and writes the
+    /// stamped request, phase 2 reads each reply in the same order,
+    /// checks its generation and checks the client back in. Every other
+    /// slot, and every failure on that path, then goes through
+    /// [`Self::shard_request`] once all clients are back.
+    fn scatter(&self, request: &Value) -> Vec<Result<Value, ServiceFailure>> {
+        if self.config.fencing {
+            for index in 0..self.shards.len() {
+                self.reconcile_slot(index);
+            }
+        }
+        let sent: Vec<_> = (0..self.shards.len())
+            .map(|index| self.send_steady(index, request))
+            .collect();
+        let replies: Vec<Option<Value>> = sent
+            .into_iter()
+            .enumerate()
+            .map(|(index, sent)| {
+                sent.and_then(|(lease, span)| self.recv_steady(index, lease, span))
+            })
+            .collect();
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(index, reply)| match reply {
+                Some(value) => Ok(value),
+                None => self.shard_request(index, request),
+            })
+            .collect()
+    }
+
+    /// Phase 1 of [`Self::scatter`] for one slot: when it is steady,
+    /// checks out its primary's client and writes the request, stamped
+    /// as [`Self::shard_request`] would stamp it. `None` leaves the slot
+    /// to the fallback.
+    fn send_steady(&self, index: usize, request: &Value) -> Option<(Lease<'_>, Option<RpcSpan>)> {
+        let shard = &self.shards[index];
+        let steady = {
+            let health = lock(&shard.health);
+            !health.promoted && health.down_since.is_none()
+        };
+        if !steady {
+            return None;
+        }
+        let (traced, span) = RpcSpan::open(request).unzip();
+        let request = traced.as_ref().unwrap_or(request);
+        let stamped = self.stamp_generation(shard, request);
+        let mut lease = shard.primary.checkout();
+        self.metrics.fanout.inc();
+        if lease.send(stamped.as_ref().unwrap_or(request)).is_ok() {
+            return Some((lease, span));
+        }
+        if let Some(span) = span {
+            self.client_spans.record(span.close(index, "error"));
+        }
+        None
+    }
+
+    /// Phase 2 of [`Self::scatter`] for a slot sent in phase 1: reads
+    /// the reply, applies the generation check, and checks the client
+    /// back in. `None` leaves the slot to the fallback.
+    fn recv_steady(
+        &self,
+        index: usize,
+        mut lease: Lease<'_>,
+        span: Option<RpcSpan>,
+    ) -> Option<Value> {
+        let shard = &self.shards[index];
+        let reply = lease.recv().and_then(|value| {
+            self.check_generation(&shard.primary, shard, &value)
+                .map(|()| value)
+        });
+        drop(lease);
+        if let Some(span) = span {
+            let outcome = match &reply {
+                Ok(_) => "ok",
+                Err(ClientError::Retryable(_)) => "retryable",
+                Err(_) => "error",
+            };
+            self.client_spans.record(span.close(index, outcome));
+        }
+        let value = reply.ok()?;
+        self.primary_answered(shard);
+        Some(value)
     }
 
     // ---- central evaluation ----------------------------------------------
@@ -1475,4 +1681,61 @@ fn report_count(report: &Value, key: &str) -> Value {
 /// clients are valid in any state).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// The slot's generation rises while a request is in flight (as when
+    /// a concurrent request adopts a newer one). The reply, at a
+    /// generation between the two, is stale, and the error names the
+    /// generation it was compared with, not the one the request carried.
+    #[test]
+    fn stale_reply_names_the_generation_it_was_compared_with() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (seen_tx, seen_rx) = mpsc::channel::<String>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let shard = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            writeln!(writer, "{}", bmb_serve::HELLO).expect("banner");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("request line");
+            seen_tx.send(line).expect("report request");
+            release_rx.recv().expect("release");
+            writeln!(writer, r#"{{"ok":true,"result":{{"pong":true,"gen":4}}}}"#).expect("reply");
+        });
+
+        let coordinator = CoordinatorService::new(CoordinatorConfig::new(4, [addr]));
+        let slot = &coordinator.shards[0];
+        lock(&slot.health).generation = 3;
+        let ping = Value::object().with("cmd", Value::Str("ping".to_string()));
+        std::thread::scope(|scope| {
+            let request = scope.spawn(|| coordinator.fenced_request_on(&slot.primary, slot, &ping));
+            let seen = seen_rx.recv().expect("the request reached the shard");
+            assert!(seen.contains(r#""gen":3"#), "stamped at slot gen 3: {seen}");
+            lock(&slot.health).generation = 5;
+            release_tx.send(()).expect("release the reply");
+            match request.join().expect("request thread") {
+                Err(ClientError::Protocol(message)) => assert!(
+                    message.contains("response gen 4 is below slot gen 5"),
+                    "{message}"
+                ),
+                other => panic!("expected a stale-generation rejection, got {other:?}"),
+            }
+        });
+        assert_eq!(
+            lock(&slot.health).generation,
+            5,
+            "a stale reply never lowers the slot"
+        );
+        assert_eq!(coordinator.metrics.stale_responses.get(), 1);
+        shard.join().expect("fake shard");
+    }
 }

@@ -123,6 +123,25 @@ fn coordinator_trace_tree_spans_coordinator_and_every_shard() {
     for rpc in &rpcs {
         assert_eq!(rpc.get("parent").and_then(Value::as_str), Some(root_id));
     }
+    // The scatter is pipelined: both requests are out before either
+    // reply is read, so each rpc span starts before the other ends. A
+    // shard-after-shard loop cannot produce this.
+    let interval = |span: &Value| -> (u64, u64) {
+        let start = span
+            .get("start_us")
+            .and_then(Value::as_u64)
+            .expect("start_us");
+        let duration = span
+            .get("duration_us")
+            .and_then(Value::as_u64)
+            .expect("duration_us");
+        (start, start + duration)
+    };
+    let (first, second) = (interval(rpcs[0]), interval(rpcs[1]));
+    assert!(
+        first.0 < second.1 && second.0 < first.1,
+        "the two rpc:support_vec spans must overlap in time: {tree}"
+    );
 
     // Each shard recorded its own server span under the rpc that hit it.
     let rpc_ids: HashSet<&str> = rpcs

@@ -4,17 +4,28 @@
 //! One request at a time: send a line, read a line. The server's banner
 //! is consumed (and checked) at connect time.
 //!
+//! [`Client::request`] is [`Client::send`] followed by [`Client::recv`].
+//! A caller that talks to several servers may call the halves apart:
+//! send to each server first, then read each reply, so the servers work
+//! at the same time without a thread per server. A connection carries
+//! one request at a time either way; every `send` must be followed by
+//! its `recv` before the next `send`.
+//!
 //! [`RetryClient`] layers reconnection and bounded exponential-backoff
 //! retries on top: transient failures (the server's `"retryable":true`
 //! errors, broken connections) are retried — but only for idempotent
 //! commands. An `ingest` whose connection died mid-flight may or may not
-//! have been applied, so it is never retried automatically.
+//! have been applied, so it is never retried automatically. Its
+//! [`RetryClient::send`]/[`RetryClient::recv`] halves do not retry: a
+//! failure drops the connection (when it is broken) and is returned, and
+//! the caller may then fall back to [`RetryClient::request`].
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::json::{parse, Value};
+use crate::protocol::write_line;
 
 /// A connected protocol client.
 pub struct Client {
@@ -147,9 +158,7 @@ impl Client {
     ///
     /// Fails on socket errors or a closed connection.
     pub fn request_line(&mut self, line: &str) -> Result<String, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line.to_string())?;
         self.read_line()
     }
 
@@ -161,7 +170,29 @@ impl Client {
     ///
     /// Fails on socket errors, non-JSON responses, or server errors.
     pub fn request(&mut self, request: &Value) -> Result<Value, ClientError> {
-        let line = self.request_line(&request.to_string())?;
+        self.send(request)?;
+        self.recv()
+    }
+
+    /// Writes one request line and returns without waiting for the
+    /// reply; [`Client::recv`] reads it.
+    ///
+    /// # Errors
+    ///
+    /// Fails on socket errors.
+    pub fn send(&mut self, request: &Value) -> Result<(), ClientError> {
+        write_line(&mut self.writer, request.to_string())?;
+        Ok(())
+    }
+
+    /// Reads the reply to the last [`Client::send`] and unwraps its
+    /// envelope as [`Client::request`] does.
+    ///
+    /// # Errors
+    ///
+    /// Fails on socket errors, non-JSON responses, or server errors.
+    pub fn recv(&mut self) -> Result<Value, ClientError> {
+        let line = self.read_line()?;
         let value =
             parse(&line).map_err(|e| ClientError::Protocol(format!("bad response: {e}")))?;
         match value.get("ok").and_then(Value::as_bool) {
@@ -381,6 +412,44 @@ impl RetryClient {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The first half of a request without retries: connects if no
+    /// connection is open, then writes `request`. A failure drops the
+    /// connection.
+    ///
+    /// # Errors
+    ///
+    /// Returns the connect or write error.
+    pub fn send(&mut self, request: &Value) -> Result<(), ClientError> {
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => self.connect()?,
+        };
+        conn.send(request)?;
+        self.conn = Some(conn);
+        Ok(())
+    }
+
+    /// The second half: reads the reply to the last [`RetryClient::send`].
+    /// No retries; a broken connection is dropped, so the next request
+    /// reconnects.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reply's error, or a protocol error when nothing was
+    /// sent.
+    pub fn recv(&mut self) -> Result<Value, ClientError> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(ClientError::Protocol("no request in flight".to_string()));
+        };
+        let result = conn.recv();
+        if let Err(e) = &result {
+            if connection_broken(e) {
+                self.conn = None;
+            }
+        }
+        result
     }
 
     /// Drops the current connection (the next request reconnects).

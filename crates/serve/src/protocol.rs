@@ -9,12 +9,15 @@
 //!
 //! The protocol is versioned by the [`HELLO`] banner the server sends on
 //! connect; golden-file fixtures under `tests/fixtures/` pin the exact
-//! bytes of every response shape.
+//! bytes of every response shape. Every line either side sends goes out
+//! through [`write_line`], as one write.
 
 use bmb_basket::Itemset;
 use bmb_core::{Chi2Answer, EngineError, InterestAnswer};
 use bmb_core::{MiningResult, PairCorrelation};
 use bmb_obs::{SpanRecord, TraceId};
+
+use std::io::{self, Write};
 
 use crate::json::{parse, Value};
 
@@ -339,6 +342,19 @@ fn parse_trace_id(raw: &Value, what: &str) -> Result<TraceId, String> {
     raw.as_str()
         .and_then(TraceId::parse_hex)
         .ok_or_else(|| format!("invalid '{what}': expected 16 lowercase hex digits (nonzero)"))
+}
+
+/// Writes one protocol line, `line` and its `\n`, with a single
+/// `write_all`. Both ends set `TCP_NODELAY`, so two writes would leave
+/// as two segments; the client, the banner, responses, error lines and
+/// connection rejections all write through here.
+///
+/// # Errors
+///
+/// Propagates the writer's error.
+pub fn write_line<W: Write + ?Sized>(out: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 /// Starts a success response, echoing `id` when present.
@@ -673,6 +689,53 @@ mod tests {
         assert_eq!(stamped.generation, Some(9));
         let bare = parse_request(r#"{"cmd":"ping"}"#).unwrap();
         assert_eq!(bare.generation, None);
+    }
+
+    /// A writer that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every kind of line on the wire leaves in exactly one write, and
+    /// its bytes are the line plus one `\n`.
+    #[test]
+    fn every_protocol_line_is_one_write() {
+        let request = Value::object()
+            .with("cmd", Value::Str("chi2".to_string()))
+            .with("items", Value::Array(vec![Value::Int(0), Value::Int(1)]));
+        let lines = [
+            ("request", request.to_string()),
+            ("response", ok_response(Some(1)).to_string()),
+            (
+                "error",
+                error_response(None, "request line too long").to_string(),
+            ),
+            ("banner", HELLO.to_string()),
+            (
+                "rejection",
+                retryable_error_response(None, "server overloaded: pending queue full").to_string(),
+            ),
+        ];
+        for (kind, line) in lines {
+            let mut out = CountingWriter::default();
+            write_line(&mut out, line.clone()).expect("an in-memory write cannot fail");
+            assert_eq!(out.writes, 1, "{kind} line took {} writes", out.writes);
+            assert_eq!(out.bytes, format!("{line}\n").into_bytes(), "{kind} bytes");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::json::Value;
 use crate::metrics::{ErrorCategory, ServerMetrics};
 use crate::protocol::{
     border_value, chi2_value, error_response, fenced_error_response, interest_value, ok_response,
-    pair_value, parse_request, retryable_error_response, Request, HELLO,
+    pair_value, parse_request, retryable_error_response, write_line, Request, HELLO,
 };
 
 /// Server tuning knobs.
@@ -368,8 +368,7 @@ impl RunningServer {
 fn reject_connection(mut stream: TcpStream, message: &str) {
     let line = retryable_error_response(None, message).to_string();
     let _ = stream.set_nodelay(true);
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = write_line(&mut stream, line);
 }
 
 /// Everything a worker needs to speak to one client.
@@ -503,8 +502,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnectionContext<'_>) -> io::
     // ~40ms to every request on loopback.
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(ctx.config.poll_interval))?;
-    stream.write_all(HELLO.as_bytes())?;
-    stream.write_all(b"\n")?;
+    write_line(&mut stream, HELLO.to_string())?;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
@@ -517,8 +515,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnectionContext<'_>) -> io::
                 continue;
             }
             let (response, stop) = handle_line(trimmed, ctx);
-            stream.write_all(response.to_string().as_bytes())?;
-            stream.write_all(b"\n")?;
+            write_line(&mut stream, response.to_string())?;
             if stop {
                 ctx.shutdown.shutdown();
                 return Ok(());
@@ -530,8 +527,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnectionContext<'_>) -> io::
         }
         if buf.len() > ctx.config.max_line_bytes {
             let err = error_response(None, "request line too long");
-            stream.write_all(err.to_string().as_bytes())?;
-            stream.write_all(b"\n")?;
+            write_line(&mut stream, err.to_string())?;
             return Ok(());
         }
         match stream.read(&mut chunk) {
