@@ -10,6 +10,8 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace -- -D warnings
+# The criterion ablation benches, which nothing else compiles.
+cargo clippy -q -p bmb-bench --all-targets -- -D warnings
 
 echo "==> bmb-xtask lint"
 # The per-pass line prints finding counts, not how much each pass
@@ -79,10 +81,33 @@ echo "==> observability smoke test (trace tree, federation, event ledger)"
 echo "==> scrub smoke test (flip byte at rest, repair from follower, fsck clean)"
 ./scripts/scrub_smoke.sh
 
-echo "==> perf trajectory (noise-gated vs committed BENCH_*.json)"
-# Runs the committed bench suite and fails only on a 3x-plus-absolute
-# regression against the best committed baseline; the freshly written
-# BENCH_<rev>.json is a candidate to commit when cutting a release.
-cargo run -q -p bmb-xtask -- bench
+echo "==> perfbench answer checks (every BENCHMARK.json workload)"
+# One short untraced run of the benchmark command per workload. Each
+# run checks its own answers: sampled reads byte-identical to an
+# in-process replay, ingest acks naming the exact epoch, coordinator
+# answers equal to a single node's, mines equal to their reference and
+# to perfbench/mine_quest_pins.tsv. A run passes only if it exits 0 and
+# its last line has "correct":true and "failed":0. No timing is gated
+# here; `scripts/bench_ab.py REV` compares timings in paired runs.
+command_lines=$(python3 -c \
+    'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+workload_lines=$(python3 -c \
+    'import json; print("\n".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+mapfile -t bench_command <<< "$command_lines"
+mapfile -t bench_workloads <<< "$workload_lines"
+for workload in "${bench_workloads[@]}"; do
+    if ! out=$("${bench_command[@]}" --workload "$workload" --seed 1 --seconds 2 --trace 0); then
+        printf '%s\n' "$out"
+        echo "perfbench $workload: exited non-zero"
+        exit 1
+    fi
+    last=$(printf '%s\n' "$out" | tail -n 1)
+    if ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$last"; then
+        printf '%s\n' "$out"
+        echo "perfbench $workload: incorrect answer or failed ops"
+        exit 1
+    fi
+    echo "perfbench $workload: correct"
+done
 
 echo "CI: all gates passed"

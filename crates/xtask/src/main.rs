@@ -15,7 +15,6 @@ bmb-xtask — workspace static analysis
 
 USAGE:
     cargo run -p bmb-xtask -- lint [ROOT] [--only PASS]... [--json]
-    cargo run -p bmb-xtask -- bench [ARGS passed to bench_suite]...
 
 PASSES (default: all):
     panics      panic-freedom in library crates
@@ -29,12 +28,6 @@ PASSES (default: all):
 FLAGS:
     --json   machine-readable findings (file/line/lint/message)
 
-`bench` builds and runs the committed perf suite (bmb-bench's
-`bench_suite` binary, release profile) from the workspace root with
-`--compare-dir .` by default, writing `BENCH_<rev>.json` and failing
-on a noise-gated regression against committed baselines. Extra ARGS
-are forwarded verbatim (e.g. `--out PATH`, `--seed N`).
-
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 ";
 
@@ -42,7 +35,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             ExitCode::from(if args.is_empty() { 2 } else { 0 })
@@ -99,37 +91,6 @@ fn lint(args: &[String]) -> ExitCode {
         }
         Err(err) => {
             eprintln!("xtask lint: cannot analyze {}: {err}", root.display());
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Build and run the committed perf suite, gating on regressions
-/// against the `BENCH_<rev>.json` files at the workspace root.
-fn bench(args: &[String]) -> ExitCode {
-    let root = default_root();
-    let mut command = std::process::Command::new("cargo");
-    command
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "bmb-bench",
-            "--bin",
-            "bench_suite",
-            "--",
-        ])
-        .current_dir(&root);
-    if !args.iter().any(|a| a == "--compare-dir") {
-        command.args(["--compare-dir", "."]);
-    }
-    command.args(args);
-    match command.status() {
-        Ok(status) if status.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::from(1),
-        Err(err) => {
-            eprintln!("xtask bench: cannot run cargo in {}: {err}", root.display());
             ExitCode::from(2)
         }
     }
