@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bmb_basket::{BasketDatabase, ContingencyTable, Itemset, SparseContingencyTable};
-use bmb_stats::{Chi2Test, ChiSquared};
+use bmb_stats::{Chi2Test, ChiSquared, DfConvention};
 
 /// A database whose 14-item tables are sparse: 2^14 cells, 3000 baskets.
 fn sparse_workload() -> (BasketDatabase, Itemset) {
@@ -14,7 +14,7 @@ fn sparse_workload() -> (BasketDatabase, Itemset) {
 
 fn bench_chi2(c: &mut Criterion) {
     let (db, wide) = sparse_workload();
-    let test = Chi2Test::default();
+    let test = Chi2Test::new(0.95, DfConvention::PaperSingle, None);
 
     let mut group = c.benchmark_group("chi2_14_items_3000_baskets");
     group.sample_size(20);
@@ -47,10 +47,7 @@ fn bench_chi2(c: &mut Criterion) {
 
     // The low-expectation cell policy's cost on a wide sparse table.
     let wide_table = ContingencyTable::from_database(&db, &wide);
-    let with_policy = Chi2Test {
-        low_expectation_cutoff: Some(1.0),
-        ..Chi2Test::default()
-    };
+    let with_policy = Chi2Test::new(0.95, DfConvention::PaperSingle, Some(1.0));
     let mut group = c.benchmark_group("low_expectation_policy");
     group.sample_size(20);
     group.bench_function("off", |b| b.iter(|| test.test_dense(&wide_table)));
@@ -60,6 +57,11 @@ fn bench_chi2(c: &mut Criterion) {
     // Distribution machinery.
     let dist = ChiSquared::new(1.0);
     c.bench_function("chi2_quantile_95", |b| b.iter(|| dist.quantile(0.95)));
+    // A test built per table pays the quantile every time; the stored
+    // cutoff leaves `chi2_test_2x2` only the statistic and its p-value.
+    c.bench_function("test_dense_2x2", |b| {
+        b.iter(|| Chi2Test::new(0.95, DfConvention::PaperSingle, None).test_dense(&table))
+    });
     c.bench_function("chi2_sf", |b| b.iter(|| dist.sf(7.3)));
 }
 

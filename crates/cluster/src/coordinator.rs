@@ -71,7 +71,7 @@ use bmb_serve::{
     ClientError, ErrorCategory, Request, RetryClient, RetryPolicy, ServerMetrics, Service,
     ServiceCtx, ServiceFailure,
 };
-use bmb_stats::{Chi2Test, InterestReport, SignificanceLevel};
+use bmb_stats::{Chi2Test, InterestReport};
 
 use crate::clock::{Clock, SystemClock};
 use crate::metrics::ClusterMetrics;
@@ -407,11 +407,11 @@ impl CoordinatorService {
             PartitionStrategy::Hash => Partitioner::with_seed(config.shards.len(), config.seed),
             PartitionStrategy::RoundRobin => Partitioner::round_robin(config.shards.len()),
         };
-        let test = Chi2Test {
-            level: SignificanceLevel::new(config.engine.alpha),
-            df: config.engine.df,
-            low_expectation_cutoff: config.engine.low_expectation_cutoff,
-        };
+        let test = Chi2Test::new(
+            config.engine.alpha,
+            config.engine.df,
+            config.engine.low_expectation_cutoff,
+        );
         CoordinatorService {
             partitioner,
             test,

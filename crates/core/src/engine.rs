@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use bmb_basket::{ContingencyTable, IncrementalStore, ItemId, Itemset, Segment, Snapshot};
 use bmb_obs::{Counter, Registry};
-use bmb_stats::{Chi2Outcome, Chi2Test, DfConvention, InterestReport, SignificanceLevel};
+use bmb_stats::{Chi2Outcome, Chi2Test, DfConvention, InterestReport};
 
 use crate::config::MinerConfig;
 use crate::lru::LruCache;
@@ -201,11 +201,7 @@ impl QueryEngine {
         let segment = [("cache", "segment")];
         QueryEngine {
             store,
-            test: Chi2Test {
-                level: SignificanceLevel::new(config.alpha),
-                df: config.df,
-                low_expectation_cutoff: config.low_expectation_cutoff,
-            },
+            test: Chi2Test::new(config.alpha, config.df, config.low_expectation_cutoff),
             tables: Mutex::new(LruCache::with_capacity(config.table_cache.max(1))),
             segment_supports: Mutex::new(LruCache::with_capacity(config.segment_cache.max(1))),
             table_hits: obs.counter_with("bmb_core_cache_hits_total", hits_help, &table),

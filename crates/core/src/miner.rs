@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use bmb_basket::{BasketDatabase, BitmapIndex, ItemId, Itemset};
 use bmb_lattice::{generate_candidates, Border, ItemsetTable};
-use bmb_stats::{Chi2Test, SignificanceLevel};
+use bmb_stats::Chi2Test;
 
 use crate::config::{CountingStrategy, Level1Prune, MinerConfig};
 use crate::counting::{
@@ -39,7 +39,8 @@ pub struct MiningResult {
     pub levels: Vec<LevelStats>,
     /// The resolved absolute support threshold `s`.
     pub support_count: u64,
-    /// The chi-squared cutoff used.
+    /// The chi-squared cutoff at the deepest level that tested a
+    /// candidate (the pair cutoff when none was tested).
     pub chi2_cutoff: f64,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
@@ -192,16 +193,14 @@ where
     let n = marginals.n_baskets();
     let k = marginals.n_items();
     let s = config.support.to_count(n).max(1);
-    let chi2_test = Chi2Test {
-        level: SignificanceLevel::new(config.alpha),
-        df: config.df,
-        low_expectation_cutoff: config.low_expectation_cutoff,
-    };
+    let chi2_test = Chi2Test::new(config.alpha, config.df, config.low_expectation_cutoff);
 
     let mut store = SupportStore::new();
     let mut significant: Vec<CorrelationRule> = Vec::new();
     let mut levels: Vec<LevelStats> = Vec::new();
-    let mut chi2_cutoff = f64::NAN;
+    // The deepest level with a tested (non-discarded) candidate: its
+    // table width picks the reported cutoff.
+    let mut tested_level = None;
 
     // Step 3: level-1 pruning builds the initial candidate pairs.
     let mut candidates = {
@@ -262,12 +261,10 @@ where
                 Verdict::Discarded => stats.discards += 1,
                 Verdict::Significant(rule) => {
                     stats.significant += 1;
-                    chi2_cutoff = rule.chi2.cutoff;
                     significant.push(rule);
                 }
-                Verdict::NotSignificant { cutoff } => {
+                Verdict::NotSignificant => {
                     stats.not_significant += 1;
-                    chi2_cutoff = cutoff;
                     notsig.insert(candidate.clone());
                     // Only NOTSIG members can be subsets of future
                     // candidates, so theirs are the only supports worth
@@ -279,6 +276,9 @@ where
             }
         }
         debug_assert!(stats.is_consistent());
+        if stats.significant + stats.not_significant > 0 {
+            tested_level = Some(level);
+        }
         obs.record_level(&stats);
         levels.push(stats);
         level_profile.emit_us = micros(emit_start.elapsed());
@@ -295,9 +295,7 @@ where
         profile.levels.push(level_profile);
         level += 1;
     }
-    if chi2_cutoff.is_nan() {
-        chi2_cutoff = chi2_test.test_dense(&trivial_table()).cutoff;
-    }
+    let chi2_cutoff = chi2_test.cutoff(tested_level.unwrap_or(2));
     obs.runs.inc();
 
     Ok(MiningResult {
@@ -386,12 +384,8 @@ enum Verdict {
     Discarded,
     /// Supported and correlated — a finished rule.
     Significant(CorrelationRule),
-    /// Supported but uncorrelated (NOTSIG); carries the χ² cutoff so the
-    /// caller can report it.
-    NotSignificant {
-        /// The cutoff the statistic was compared against.
-        cutoff: f64,
-    },
+    /// Supported but uncorrelated (NOTSIG).
+    NotSignificant,
 }
 
 /// Evaluates all candidates of one level, in parallel chunks when
@@ -422,9 +416,7 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
                 table,
             })
         } else {
-            Verdict::NotSignificant {
-                cutoff: outcome.cutoff,
-            }
+            Verdict::NotSignificant
         }
     };
     let threads = threads.max(1).min(candidates.len().max(1));
@@ -483,12 +475,6 @@ fn initial_pairs<M: MarginalSource>(marginals: &M, s: u64, policy: Level1Prune) 
         }
     }
     out
-}
-
-/// A placeholder table used only to extract the χ² cutoff when no
-/// candidate was ever tested.
-fn trivial_table() -> bmb_basket::ContingencyTable {
-    bmb_basket::ContingencyTable::from_counts(Itemset::from_ids([0, 1]), vec![1, 1, 1, 1])
 }
 
 #[cfg(test)]
@@ -652,6 +638,31 @@ mod tests {
         assert_eq!(result.levels[0].discards, result.levels[0].candidates);
         assert_eq!(result.levels.len(), 1, "no level-3 candidates can form");
         assert!(result.significant.is_empty());
+    }
+
+    #[test]
+    fn reported_cutoff_is_the_deepest_tested_levels() {
+        // Parity data under the saturated convention: pairs are NOTSIG at
+        // 1 df and the triple is tested at 4 df, so the run reports the
+        // triple's cutoff. With every pair discarded, nothing is tested
+        // and the pair cutoff is reported.
+        let db = bmb_datasets::parity_triple(400, 3);
+        let saturated = MinerConfig {
+            df: bmb_stats::DfConvention::Saturated,
+            ..base_config()
+        };
+        let test = Chi2Test::new(saturated.alpha, saturated.df, None);
+        let result = mine(&db, &saturated);
+        assert_eq!(result.levels.len(), 2);
+        assert_eq!(result.chi2_cutoff.to_bits(), test.cutoff(3).to_bits());
+        let all_discarded = MinerConfig {
+            support: SupportSpec::Count(1000),
+            level1: Level1Prune::Off,
+            ..saturated
+        };
+        let result = mine(&db, &all_discarded);
+        assert_eq!(result.levels[0].discards, result.levels[0].candidates);
+        assert_eq!(result.chi2_cutoff.to_bits(), test.cutoff(2).to_bits());
     }
 
     #[test]

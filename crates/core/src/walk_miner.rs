@@ -10,7 +10,7 @@
 
 use bmb_basket::{BasketDatabase, ContingencyTable, Itemset};
 use bmb_lattice::{random_walk_border, CountCube, WalkConfig, WalkOutcome, MAX_CUBE_DIMS};
-use bmb_stats::{Chi2Test, SignificanceLevel};
+use bmb_stats::Chi2Test;
 
 use crate::config::MinerConfig;
 use crate::support::cell_support;
@@ -43,11 +43,7 @@ pub fn mine_walk(
     config.validate();
     let n = db.len() as u64;
     let s = config.support.to_count(n).max(1);
-    let test = Chi2Test {
-        level: SignificanceLevel::new(config.alpha),
-        df: config.df,
-        low_expectation_cutoff: config.low_expectation_cutoff,
-    };
+    let test = Chi2Test::new(config.alpha, config.df, config.low_expectation_cutoff);
     let k = db.n_items();
     let cube = if k > 0 && k <= MAX_CUBE_DIMS {
         Some(CountCube::build(db, &Itemset::from_ids(0..k as u32)))

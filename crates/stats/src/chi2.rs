@@ -19,7 +19,7 @@
 //! cells are visited (`Σ_r E[r] = n`).
 
 use bmb_basket::categorical::CategoricalTable;
-use bmb_basket::{ContingencyTable, SparseContingencyTable};
+use bmb_basket::{ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS};
 
 use crate::chi2dist::ChiSquared;
 use crate::critical::SignificanceLevel;
@@ -49,25 +49,23 @@ impl DfConvention {
 }
 
 /// Configuration for the chi-squared test.
+///
+/// The cutoff `χ²_α` depends only on the significance level and the
+/// degrees of freedom, so [`Chi2Test::new`] solves it up front for every
+/// table width and stores it: testing a table never inverts the
+/// distribution.
 #[derive(Clone, Copy, Debug)]
 pub struct Chi2Test {
-    /// Significance level α; the cutoff is `χ²_α` at the chosen df.
-    pub level: SignificanceLevel,
-    /// Degrees-of-freedom convention for binary tables.
-    pub df: DfConvention,
-    /// When set, cells with expectation below this value are excluded from
-    /// the statistic — the paper's pragmatic answer to the normal
-    /// approximation breaking down on rare cells (Section 3.3).
-    pub low_expectation_cutoff: Option<f64>,
+    level: SignificanceLevel,
+    df: DfConvention,
+    low_expectation_cutoff: Option<f64>,
+    /// `χ²_α` at `df.df_for_dims(m)`, indexed by the table width `m`.
+    cutoffs: [f64; MAX_DENSE_DIMS + 1],
 }
 
 impl Default for Chi2Test {
     fn default() -> Self {
-        Chi2Test {
-            level: SignificanceLevel::P95,
-            df: DfConvention::PaperSingle,
-            low_expectation_cutoff: None,
-        }
+        Chi2Test::new(0.95, DfConvention::PaperSingle, None)
     }
 }
 
@@ -97,35 +95,81 @@ impl Chi2Outcome {
 }
 
 impl Chi2Test {
+    /// A test at significance level `alpha` with the given df convention.
+    /// When `low_expectation_cutoff` is set, cells with expectation below
+    /// it are excluded from the statistic — the paper's pragmatic answer
+    /// to the normal approximation breaking down on rare cells
+    /// (Section 3.3).
+    ///
+    /// Computes the cutoff `χ²_α` for every table width up to
+    /// [`MAX_DENSE_DIMS`]: one quantile under
+    /// [`DfConvention::PaperSingle`], one per width under
+    /// [`DfConvention::Saturated`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < alpha < 1`.
+    pub fn new(alpha: f64, df: DfConvention, low_expectation_cutoff: Option<f64>) -> Self {
+        let level = SignificanceLevel::new(alpha);
+        let cutoff_at = |m: usize| {
+            let cutoff = ChiSquared::new(df.df_for_dims(m)).quantile(alpha);
+            crate::contracts::assert_chi2_statistic("χ² cutoff", cutoff);
+            cutoff
+        };
+        let cutoffs = match df {
+            DfConvention::PaperSingle => [cutoff_at(1); MAX_DENSE_DIMS + 1],
+            DfConvention::Saturated => std::array::from_fn(cutoff_at),
+        };
+        Chi2Test {
+            level,
+            df,
+            low_expectation_cutoff,
+            cutoffs,
+        }
+    }
+
     /// A test at significance level α with the paper's conventions.
     pub fn at_level(alpha: f64) -> Self {
+        Chi2Test::new(alpha, DfConvention::PaperSingle, None)
+    }
+
+    /// The same test with a different low-expectation policy; the cutoffs
+    /// do not depend on it and are kept.
+    pub fn with_low_expectation_cutoff(self, low_expectation_cutoff: Option<f64>) -> Self {
         Chi2Test {
-            level: SignificanceLevel::new(alpha),
-            ..Default::default()
+            low_expectation_cutoff,
+            ..self
+        }
+    }
+
+    /// Significance level α; the cutoff is `χ²_α` at the chosen df.
+    pub fn level(&self) -> SignificanceLevel {
+        self.level
+    }
+
+    /// Degrees-of-freedom convention for binary tables.
+    pub fn df(&self) -> DfConvention {
+        self.df
+    }
+
+    /// The expectation below which cells are excluded, if any.
+    pub fn low_expectation_cutoff(&self) -> Option<f64> {
+        self.low_expectation_cutoff
+    }
+
+    /// The cutoff `χ²_α` for an `m`-item presence/absence table.
+    pub fn cutoff(&self, m: usize) -> f64 {
+        match self.cutoffs.get(m) {
+            Some(&cutoff) => cutoff,
+            // Only sparse tables are wider than the stored range.
+            None => ChiSquared::new(self.df.df_for_dims(m)).quantile(self.level.alpha()),
         }
     }
 
     /// Tests a dense presence/absence table.
     pub fn test_dense(&self, table: &ContingencyTable) -> Chi2Outcome {
-        crate::contracts::assert_table_consistent("χ² input table", table);
-        let mut stat = 0.0;
-        let mut ignored = 0usize;
-        for (cell, observed) in table.cells() {
-            let expected = table.expected(cell);
-            if let Some(cutoff) = self.low_expectation_cutoff {
-                if expected < cutoff {
-                    ignored += 1;
-                    continue;
-                }
-            }
-            if expected > 0.0 {
-                let d = observed as f64 - expected;
-                stat += d * d / expected;
-            }
-            // expected == 0 forces observed == 0 (a zero marginal); the
-            // cell's contribution is the 0/0 limit, i.e. zero.
-        }
-        self.outcome(stat, self.df.df_for_dims(table.dims()), ignored)
+        let (stat, ignored) = dense_statistic(table, self.low_expectation_cutoff);
+        self.binary_outcome(stat, table.dims(), ignored)
     }
 
     /// Tests a sparse table using the occupied-cells-only formula.
@@ -153,7 +197,7 @@ impl Chi2Test {
             // Note: occupied cells always have expected > 0 unless an item
             // marginal is degenerate, which implies the cell is impossible.
         }
-        self.outcome(stat.max(0.0), self.df.df_for_dims(table.dims()), ignored)
+        self.binary_outcome(stat.max(0.0), table.dims(), ignored)
     }
 
     /// Tests a multinomial table with `Π (u_i − 1)` degrees of freedom.
@@ -173,15 +217,26 @@ impl Chi2Test {
                 stat += d * d / expected;
             }
         }
-        self.outcome(stat, table.degrees_of_freedom().max(1) as f64, ignored)
+        match table.degrees_of_freedom() {
+            // One degree of freedom is the 2×2 case, stored under either
+            // convention; wider tables are off the hot path.
+            0 | 1 => self.outcome(stat, 1.0, self.cutoff(2), ignored),
+            df => {
+                let df = df as f64;
+                let cutoff = ChiSquared::new(df).quantile(self.level.alpha());
+                self.outcome(stat, df, cutoff, ignored)
+            }
+        }
     }
 
-    fn outcome(&self, statistic: f64, df: f64, cells_ignored: usize) -> Chi2Outcome {
+    /// The outcome for an `m`-item presence/absence table.
+    pub(crate) fn binary_outcome(&self, statistic: f64, m: usize, ignored: usize) -> Chi2Outcome {
+        self.outcome(statistic, self.df.df_for_dims(m), self.cutoff(m), ignored)
+    }
+
+    fn outcome(&self, statistic: f64, df: f64, cutoff: f64, cells_ignored: usize) -> Chi2Outcome {
         crate::contracts::assert_chi2_statistic("χ² statistic", statistic);
-        let dist = ChiSquared::new(df);
-        let cutoff = dist.quantile(self.level.alpha());
-        crate::contracts::assert_chi2_statistic("χ² cutoff", cutoff);
-        let ln_p_value = dist.ln_sf(statistic);
+        let ln_p_value = ChiSquared::new(df).ln_sf(statistic);
         crate::contracts::assert_ln_probability("χ² ln p-value", ln_p_value);
         Chi2Outcome {
             statistic,
@@ -194,9 +249,34 @@ impl Chi2Test {
     }
 }
 
+/// `Σ (O − E)²/E` over a dense table, skipping cells whose expectation is
+/// below `low_expectation_cutoff`; returns the statistic and the number of
+/// skipped cells.
+fn dense_statistic(table: &ContingencyTable, low_expectation_cutoff: Option<f64>) -> (f64, usize) {
+    crate::contracts::assert_table_consistent("χ² input table", table);
+    let mut stat = 0.0;
+    let mut ignored = 0usize;
+    for (cell, observed) in table.cells() {
+        let expected = table.expected(cell);
+        if let Some(cutoff) = low_expectation_cutoff {
+            if expected < cutoff {
+                ignored += 1;
+                continue;
+            }
+        }
+        if expected > 0.0 {
+            let d = observed as f64 - expected;
+            stat += d * d / expected;
+        }
+        // expected == 0 forces observed == 0 (a zero marginal); the
+        // cell's contribution is the 0/0 limit, i.e. zero.
+    }
+    (stat, ignored)
+}
+
 /// The raw statistic of a dense table (no significance machinery).
 pub fn chi2_statistic(table: &ContingencyTable) -> f64 {
-    Chi2Test::default().test_dense(table).statistic
+    dense_statistic(table, None).0
 }
 
 #[cfg(test)]
@@ -309,11 +389,9 @@ mod tests {
         // marginals: item0 = 12/1000, item1 = 11/1000, E[both] ≈ 0.13.
         let t = ContingencyTable::from_counts(set, vec![978, 2, 10, 10]);
         let with = Chi2Test::default().test_dense(&t);
-        let without = Chi2Test {
-            low_expectation_cutoff: Some(1.0),
-            ..Chi2Test::default()
-        }
-        .test_dense(&t);
+        let without = Chi2Test::default()
+            .with_low_expectation_cutoff(Some(1.0))
+            .test_dense(&t);
         assert!(without.cells_ignored >= 1);
         assert!(without.statistic < with.statistic);
     }
@@ -339,6 +417,103 @@ mod tests {
         let outcome = Chi2Test::default().test_categorical(&cat);
         assert_eq!(outcome.df, 2.0);
         assert!(outcome.significant); // strongly associated by construction
+    }
+
+    #[test]
+    fn stored_cutoffs_match_the_quantile_to_the_bit() {
+        for alpha in [0.90, 0.95, 0.975, 0.99] {
+            for df in [DfConvention::PaperSingle, DfConvention::Saturated] {
+                for low in [None, Some(1.0)] {
+                    let test = Chi2Test::new(alpha, df, low);
+                    for m in 1..=MAX_DENSE_DIMS {
+                        let exact = ChiSquared::new(df.df_for_dims(m)).quantile(alpha);
+                        assert_eq!(
+                            test.cutoff(m).to_bits(),
+                            exact.to_bits(),
+                            "α = {alpha}, {df:?}, m = {m}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outcomes_carry_the_stored_cutoff() {
+        let test = Chi2Test::new(0.99, DfConvention::Saturated, None);
+        let db = BasketDatabase::from_id_baskets(
+            3,
+            vec![
+                vec![0, 1, 2],
+                vec![0, 1],
+                vec![2],
+                vec![],
+                vec![0, 2],
+                vec![1],
+            ],
+        );
+        let set = Itemset::from_ids([0, 1, 2]);
+        let dense = test.test_dense(&ContingencyTable::from_database(&db, &set));
+        let sparse = test.test_sparse(&SparseContingencyTable::from_database(&db, &set));
+        assert_eq!(dense.df, 4.0);
+        assert_eq!(dense.cutoff.to_bits(), test.cutoff(3).to_bits());
+        assert_eq!(sparse.cutoff.to_bits(), test.cutoff(3).to_bits());
+        let cat = CategoricalTable::from_matrix(2, 2, vec![20, 5, 70, 5]);
+        let categorical = test.test_categorical(&cat);
+        assert_eq!(categorical.cutoff.to_bits(), test.cutoff(2).to_bits());
+    }
+
+    #[test]
+    fn g_test_uses_the_same_cutoff_as_test_dense() {
+        for df in [DfConvention::PaperSingle, DfConvention::Saturated] {
+            let test = Chi2Test::new(0.95, df, None);
+            for table in [
+                example3_table(),
+                ContingencyTable::from_counts(
+                    Itemset::from_ids([0, 1, 2]),
+                    vec![9, 2, 3, 1, 4, 1, 2, 8],
+                ),
+            ] {
+                let g = crate::gtest::g_test(&table, &test);
+                let pearson = test.test_dense(&table);
+                assert_eq!(g.df, pearson.df);
+                assert_eq!(g.cutoff.to_bits(), pearson.cutoff.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "significance level")]
+    fn new_rejects_alpha_of_one() {
+        Chi2Test::new(1.0, DfConvention::PaperSingle, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "significance level")]
+    fn new_rejects_alpha_of_zero() {
+        Chi2Test::new(0.0, DfConvention::Saturated, None);
+    }
+
+    #[test]
+    fn accessors_and_policy_swap_keep_the_cutoffs() {
+        let test = Chi2Test::new(0.99, DfConvention::Saturated, None);
+        let swapped = test.with_low_expectation_cutoff(Some(1.0));
+        assert_eq!(swapped.level(), SignificanceLevel::P99);
+        assert_eq!(swapped.df(), DfConvention::Saturated);
+        assert_eq!(swapped.low_expectation_cutoff(), Some(1.0));
+        assert_eq!(test.low_expectation_cutoff(), None);
+        for m in 1..=MAX_DENSE_DIMS {
+            assert_eq!(swapped.cutoff(m).to_bits(), test.cutoff(m).to_bits());
+        }
+    }
+
+    #[test]
+    fn chi2_statistic_matches_test_dense() {
+        let table = example3_table();
+        assert_eq!(
+            chi2_statistic(&table).to_bits(),
+            Chi2Test::default().test_dense(&table).statistic.to_bits()
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use bmb_basket::ContingencyTable;
 
 use crate::chi2::{Chi2Outcome, Chi2Test};
-use crate::chi2dist::ChiSquared;
 
 /// The raw G statistic of a dense table.
 ///
@@ -37,18 +36,7 @@ pub fn g_statistic(table: &ContingencyTable) -> f64 {
 /// (significance level, degrees of freedom; the low-expectation policy is
 /// not applicable — zero-observation cells already drop out).
 pub fn g_test(table: &ContingencyTable, config: &Chi2Test) -> Chi2Outcome {
-    let statistic = g_statistic(table).max(0.0);
-    let df = config.df.df_for_dims(table.dims());
-    let dist = ChiSquared::new(df);
-    let cutoff = dist.quantile(config.level.alpha());
-    Chi2Outcome {
-        statistic,
-        df,
-        cutoff,
-        significant: statistic >= cutoff,
-        ln_p_value: dist.ln_sf(statistic),
-        cells_ignored: 0,
-    }
+    config.binary_outcome(g_statistic(table).max(0.0), table.dims(), 0)
 }
 
 #[cfg(test)]
