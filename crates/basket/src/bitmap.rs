@@ -1,9 +1,10 @@
 //! Fixed-width bitmaps and the per-item vertical index.
 //!
-//! Counting a contingency-table cell needs "how many baskets contain all of
-//! P and none of A". With one bitmap per item over the baskets, that is a
-//! word-wise AND/AND-NOT sweep plus popcount — the workhorse behind the
-//! [`crate::counts::BitmapCounter`].
+//! The support of an itemset is "how many baskets contain every item". With
+//! one bitmap per item over the baskets, that is a word-wise AND plus
+//! popcount ([`BitmapIndex::support_count`]) — the workhorse behind the
+//! [`crate::counts::BitmapCounter`], the miner's counting and every sealed
+//! segment's supports.
 
 use crate::database::BasketDatabase;
 use crate::item::ItemId;
@@ -160,6 +161,10 @@ impl Bitmap {
     }
 }
 
+/// Words per block of [`BitmapIndex::support_count`]'s multi-way AND: a
+/// 512-byte stack buffer covering 4,096 baskets.
+const BLOCK_WORDS: usize = 64;
+
 /// A vertical index: one [`Bitmap`] per item, over the baskets of a database.
 ///
 /// `index.item(i)` has bit `b` set iff basket `b` contains item `i`.
@@ -207,48 +212,36 @@ impl BitmapIndex {
 
     /// `O(S)`: the number of baskets containing every item of `items`.
     ///
-    /// The empty set is contained in every basket. Allocation-free: the
-    /// intersection is folded word by word without materializing it — this
-    /// sits in the miner's hottest loop.
+    /// The empty set is contained in every basket. Allocation-free and
+    /// branch-free per word — this sits in the miner's hottest loop. Pairs
+    /// are one zipped AND+popcount. Wider sets walk the words in blocks of
+    /// 64: the first two items' block is ANDed into a stack buffer, each
+    /// further item's block is ANDed into it, and the buffer is popcounted.
     pub fn support_count(&self, items: &[ItemId]) -> u64 {
         match items {
             [] => self.n_baskets as u64,
             [single] => self.item(*single).count_ones(),
-            [first, rest @ ..] => {
-                let first = &self.item_bitmaps[first.index()];
+            [a, b] => self.item(*a).and_count(self.item(*b)),
+            [a, b, rest @ ..] => {
+                let (a, b) = (&self.item(*a).words, &self.item(*b).words);
+                let mut buffer = [0u64; BLOCK_WORDS];
                 let mut total = 0u64;
-                for w in 0..first.words.len() {
-                    let mut word = first.words[w];
+                for start in (0..a.len()).step_by(BLOCK_WORDS) {
+                    let end = (start + BLOCK_WORDS).min(a.len());
+                    let acc = &mut buffer[..end - start];
+                    for ((slot, x), y) in acc.iter_mut().zip(&a[start..end]).zip(&b[start..end]) {
+                        *slot = x & y;
+                    }
                     for item in rest {
-                        word &= self.item_bitmaps[item.index()].words[w];
-                        if word == 0 {
-                            break;
+                        for (slot, w) in acc.iter_mut().zip(&self.item(*item).words[start..end]) {
+                            *slot &= w;
                         }
                     }
-                    total += u64::from(word.count_ones());
+                    total += acc.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
                 }
                 total
             }
         }
-    }
-
-    /// Counts baskets containing all of `present` and none of `absent` —
-    /// exactly one cell of a contingency table.
-    pub fn cell_count(&self, present: &[ItemId], absent: &[ItemId]) -> u64 {
-        let mut acc = match present {
-            [] => Bitmap::ones(self.n_baskets),
-            [first, rest @ ..] => {
-                let mut acc = self.item(*first).clone();
-                for item in rest {
-                    acc.and_assign(self.item(*item));
-                }
-                acc
-            }
-        };
-        for item in absent {
-            acc.and_not_assign(self.item(*item));
-        }
-        acc.count_ones()
     }
 }
 
@@ -346,18 +339,58 @@ mod tests {
         assert_eq!(idx.support_count(&[ItemId(0), ItemId(1), ItemId(2)]), 0);
     }
 
+    /// Baskets containing every item of `items`, one basket at a time.
+    fn naive_support(db: &BasketDatabase, items: &[ItemId]) -> u64 {
+        db.baskets()
+            .filter(|basket| items.iter().all(|item| basket.contains(item)))
+            .count() as u64
+    }
+
     #[test]
-    fn index_cell_counts() {
-        let idx = BitmapIndex::build(&toy_db());
-        // Baskets with item 0 but not item 1: only b2.
-        assert_eq!(idx.cell_count(&[ItemId(0)], &[ItemId(1)]), 1);
-        // Baskets with neither item 0 nor item 1: only b3.
-        assert_eq!(idx.cell_count(&[], &[ItemId(0), ItemId(1)]), 1);
-        // All four cells of the (0,1) table sum to n.
-        let total = idx.cell_count(&[ItemId(0), ItemId(1)], &[])
-            + idx.cell_count(&[ItemId(0)], &[ItemId(1)])
-            + idx.cell_count(&[ItemId(1)], &[ItemId(0)])
-            + idx.cell_count(&[], &[ItemId(0), ItemId(1)]);
-        assert_eq!(total, 4);
+    fn support_count_matches_a_per_basket_scan() {
+        use rand::{Rng, SeedableRng};
+        const NEVER: u32 = 0;
+        const ALWAYS: u32 = 1;
+        let n_items = 8u32;
+        let block = BLOCK_WORDS * 64;
+        for n in [
+            0,
+            1,
+            63,
+            64,
+            65,
+            block - 1,
+            block,
+            block + 1,
+            2 * block + 1,
+            20_000,
+        ] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let baskets: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let mut basket = vec![ALWAYS];
+                    // Dense items, so wide sets still have support.
+                    basket.extend((2..n_items).filter(|_| rng.gen_bool(0.7)));
+                    basket
+                })
+                .collect();
+            let db = BasketDatabase::from_id_baskets(n_items as usize, baskets);
+            let index = BitmapIndex::build(&db);
+            assert_eq!(index.support_count(&[ItemId(NEVER)]), 0);
+            assert_eq!(index.support_count(&[ItemId(ALWAYS)]), n as u64);
+            for width in 2..=6 {
+                // Every window of `width` consecutive items: the first
+                // holds the item in no basket, the second the item in every
+                // basket.
+                for first in 0..=n_items - width as u32 {
+                    let items: Vec<ItemId> = (first..first + width as u32).map(ItemId).collect();
+                    assert_eq!(
+                        index.support_count(&items),
+                        naive_support(&db, &items),
+                        "n = {n}, items = {items:?}"
+                    );
+                }
+            }
+        }
     }
 }

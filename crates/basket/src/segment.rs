@@ -103,12 +103,6 @@ impl Segment {
     pub fn support(&self, items: &[ItemId]) -> u64 {
         self.index.support_count(items)
     }
-
-    /// Baskets containing all of `present` and none of `absent`, within
-    /// this segment.
-    pub fn cell_count(&self, present: &[ItemId], absent: &[ItemId]) -> u64 {
-        self.index.cell_count(present, absent)
-    }
 }
 
 /// Error from appending a basket naming an item outside the store's item
@@ -407,11 +401,6 @@ impl Snapshot {
     /// `O(S)`: baskets containing every item of `items`.
     pub fn support(&self, items: &[ItemId]) -> u64 {
         self.segments().map(|s| s.support(items)).sum()
-    }
-
-    /// Baskets containing all of `present` and none of `absent`.
-    pub fn cell_count(&self, present: &[ItemId], absent: &[ItemId]) -> u64 {
-        self.segments().map(|s| s.cell_count(present, absent)).sum()
     }
 
     /// The full `2^m` contingency table of `set` at this epoch, assembled

@@ -1,9 +1,10 @@
 //! Ablation: bitmap-index vs horizontal-scan support counting, sequential
-//! vs threaded (DESIGN.md "Bitmap vs. scan counting").
+//! vs threaded (DESIGN.md "Bitmap vs. scan counting"), plus the bitmap
+//! kernel's three-item path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bmb_basket::{BasketDatabase, BitmapIndex, Itemset};
+use bmb_basket::{BasketDatabase, BitmapIndex, ItemId, Itemset};
 use bmb_core::counting::{count_with_bitmaps, count_with_scan};
 use bmb_quest::{generate, QuestParams};
 
@@ -40,6 +41,32 @@ fn bench_counting(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("scan", threads), &threads, |b, &t| {
             b.iter(|| count_with_scan(&db, &candidates, t));
+        });
+    }
+    group.finish();
+
+    // The ≥3-item path of `BitmapIndex::support_count`: the 2000
+    // lexicographically-first triples over the 30 most frequent items.
+    let mut frequent: Vec<u32> = (0..300).collect();
+    frequent.sort_by_key(|&i| std::cmp::Reverse(db.item_count(ItemId(i))));
+    frequent.truncate(30);
+    frequent.sort_unstable();
+    let mut triples = Vec::new();
+    'triples: for (x, &a) in frequent.iter().enumerate() {
+        for (y, &b) in frequent.iter().enumerate().skip(x + 1) {
+            for &c in &frequent[y + 1..] {
+                triples.push(Itemset::from_ids([a, b, c]));
+                if triples.len() == 2000 {
+                    break 'triples;
+                }
+            }
+        }
+    }
+    let mut group = c.benchmark_group("counting_triples");
+    group.sample_size(10);
+    for threads in [1usize, 4] {
+        group.bench_with_input(BenchmarkId::new("bitmap", threads), &threads, |b, &t| {
+            b.iter(|| count_with_bitmaps(&index, &triples, t));
         });
     }
     group.finish();

@@ -407,16 +407,14 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
         if !support.supported() {
             return Verdict::Discarded;
         }
-        let outcome = chi2_test.test_dense(&table);
-        if outcome.significant {
-            Verdict::Significant(CorrelationRule {
+        match chi2_test.test_dense_if_significant(&table) {
+            Some(outcome) => Verdict::Significant(CorrelationRule {
                 itemset: candidate.clone(),
                 chi2: outcome,
                 support_cells: support.cells_with_support,
                 table,
-            })
-        } else {
-            Verdict::NotSignificant
+            }),
+            None => Verdict::NotSignificant,
         }
     };
     let threads = threads.max(1).min(candidates.len().max(1));
@@ -454,23 +452,36 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
         .collect()
 }
 
-/// Step 3: the initial pair candidates under the chosen level-1 policy.
+/// Step 3: the initial pair candidates under the chosen level-1 policy,
+/// in lexicographic order. Each item's count is read once, and only the
+/// pairs the policy keeps are visited.
 fn initial_pairs<M: MarginalSource>(marginals: &M, s: u64, policy: Level1Prune) -> Vec<Itemset> {
     let k = marginals.n_items() as u32;
-    let keep = |a: u32, b: u32| -> bool {
-        let ca = marginals.item_count(ItemId(a));
-        let cb = marginals.item_count(ItemId(b));
-        match policy {
-            Level1Prune::PaperBothFrequent => ca >= s && cb >= s,
-            Level1Prune::BothRare => ca >= s || cb >= s,
-            Level1Prune::Off => true,
-        }
-    };
+    let all: Vec<u32> = (0..k).collect();
+    let frequent: Vec<u32> = (0..k)
+        .filter(|&i| marginals.item_count(ItemId(i)) >= s)
+        .collect();
     let mut out = Vec::new();
-    for a in 0..k {
-        for b in a + 1..k {
-            if keep(a, b) {
-                out.push(Itemset::from_ids([a, b]));
+    // Pairs `a` with each of `partners` (sorted) above it.
+    let mut pair_up = |a: u32, partners: &[u32]| {
+        let above = partners.partition_point(|&b| b <= a);
+        out.extend(partners[above..].iter().map(|&b| Itemset::from_ids([a, b])));
+    };
+    match policy {
+        Level1Prune::PaperBothFrequent => {
+            for &a in &frequent {
+                pair_up(a, &frequent);
+            }
+        }
+        Level1Prune::BothRare => {
+            for a in 0..k {
+                let a_frequent = frequent.binary_search(&a).is_ok();
+                pair_up(a, if a_frequent { &all } else { &frequent });
+            }
+        }
+        Level1Prune::Off => {
+            for a in 0..k {
+                pair_up(a, &all);
             }
         }
     }
@@ -564,6 +575,42 @@ mod tests {
             result.significant.iter().all(|r| r.itemset.len() >= 4),
             "levels 2-3 must stay clean even under the paper convention"
         );
+    }
+
+    #[test]
+    fn initial_pairs_are_the_policy_filter_over_all_pairs() {
+        // Items 0, 3 and 5 are in 3 baskets, 1 and 4 in 1, 2 in none.
+        let db = BasketDatabase::from_id_baskets(
+            6,
+            vec![vec![0, 3, 5], vec![0, 1, 3, 5], vec![0, 3, 4, 5]],
+        );
+        for s in [1, 2, 4] {
+            for policy in [
+                Level1Prune::PaperBothFrequent,
+                Level1Prune::BothRare,
+                Level1Prune::Off,
+            ] {
+                let frequent = |i: u32| db.item_count(ItemId(i)) >= s;
+                let mut expected = Vec::new();
+                for a in 0..6u32 {
+                    for b in a + 1..6 {
+                        let keep = match policy {
+                            Level1Prune::PaperBothFrequent => frequent(a) && frequent(b),
+                            Level1Prune::BothRare => frequent(a) || frequent(b),
+                            Level1Prune::Off => true,
+                        };
+                        if keep {
+                            expected.push(Itemset::from_ids([a, b]));
+                        }
+                    }
+                }
+                assert_eq!(
+                    initial_pairs(&db, s, policy),
+                    expected,
+                    "s = {s}, {policy:?}"
+                );
+            }
+        }
     }
 
     #[test]

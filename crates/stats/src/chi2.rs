@@ -41,7 +41,9 @@ impl DfConvention {
         match self {
             DfConvention::PaperSingle => 1.0,
             DfConvention::Saturated => {
-                let cells = (1u64 << m) as f64;
+                // 2^m in f64 is exact, and cannot overflow a shift for
+                // sparse tables of up to 64 items.
+                let cells = 2f64.powi(m as i32);
                 (cells - m as f64 - 1.0).max(1.0)
             }
         }
@@ -170,6 +172,16 @@ impl Chi2Test {
     pub fn test_dense(&self, table: &ContingencyTable) -> Chi2Outcome {
         let (stat, ignored) = dense_statistic(table, self.low_expectation_cutoff);
         self.binary_outcome(stat, table.dims(), ignored)
+    }
+
+    /// [`Chi2Test::test_dense`]'s outcome when the table is significant,
+    /// else `None`. The statistic is computed once, and the p-value is
+    /// paid only when the statistic meets the cutoff: for callers that
+    /// drop NOTSIG outcomes unread, like the miner.
+    pub fn test_dense_if_significant(&self, table: &ContingencyTable) -> Option<Chi2Outcome> {
+        let (stat, ignored) = dense_statistic(table, self.low_expectation_cutoff);
+        let m = table.dims();
+        (stat >= self.cutoff(m)).then(|| self.binary_outcome(stat, m, ignored))
     }
 
     /// Tests a sparse table using the occupied-cells-only formula.
@@ -379,6 +391,57 @@ mod tests {
         assert_eq!(DfConvention::Saturated.df_for_dims(3), 4.0);
         assert_eq!(DfConvention::Saturated.df_for_dims(4), 11.0);
         assert_eq!(DfConvention::PaperSingle.df_for_dims(10), 1.0);
+    }
+
+    #[test]
+    fn saturated_df_holds_at_sparse_widths() {
+        // Sparse tables go up to 64 items. 2^64 − 65 rounds to 2^64 in
+        // f64; the point is no shift overflow and no wrap to one degree of
+        // freedom.
+        assert_eq!(DfConvention::Saturated.df_for_dims(64), 2f64.powi(64));
+        assert_eq!(
+            DfConvention::Saturated.df_for_dims(40),
+            2f64.powi(40) - 41.0
+        );
+        let cutoff = Chi2Test::new(0.95, DfConvention::Saturated, None).cutoff(64);
+        assert!(
+            cutoff.is_finite() && cutoff > 2f64.powi(64),
+            "cutoff {cutoff}"
+        );
+    }
+
+    #[test]
+    fn test_dense_if_significant_is_test_dense_when_significant() {
+        let tables = [
+            example3_table(),
+            ContingencyTable::from_counts(Itemset::from_ids([0, 1]), vec![60, 40, 0, 0]),
+            ContingencyTable::from_counts(Itemset::from_ids([0, 1]), vec![978, 2, 10, 10]),
+            ContingencyTable::from_counts(Itemset::from_ids([0, 1]), vec![50, 0, 0, 50]),
+            ContingencyTable::from_counts(
+                Itemset::from_ids([0, 1, 2]),
+                vec![9, 2, 3, 1, 4, 1, 2, 8],
+            ),
+        ];
+        let mut seen = [false; 2];
+        for df in [DfConvention::PaperSingle, DfConvention::Saturated] {
+            for low in [None, Some(1.0)] {
+                let test = Chi2Test::new(0.95, df, low);
+                for table in &tables {
+                    let full = test.test_dense(table);
+                    seen[usize::from(full.significant)] = true;
+                    match test.test_dense_if_significant(table) {
+                        Some(outcome) => {
+                            assert!(full.significant);
+                            assert_eq!(outcome.statistic.to_bits(), full.statistic.to_bits());
+                            assert_eq!(outcome.ln_p_value.to_bits(), full.ln_p_value.to_bits());
+                            assert_eq!(outcome, full);
+                        }
+                        None => assert!(!full.significant),
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true, true], "both verdicts are exercised");
     }
 
     #[test]
