@@ -1,11 +1,10 @@
-//! Ablation: bitmap-index vs horizontal-scan support counting, sequential
-//! vs threaded (DESIGN.md "Bitmap vs. scan counting"), plus the bitmap
-//! kernel's three-item path.
+//! Bitmap-index support counting, sequential vs threaded, for pairs and
+//! for the kernel's three-item path, plus the one-off index build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bmb_basket::{BasketDatabase, BitmapIndex, ItemId, Itemset};
-use bmb_core::counting::{count_with_bitmaps, count_with_scan};
+use bmb_core::counting::count_with_bitmaps;
 use bmb_quest::{generate, QuestParams};
 
 fn workload() -> (BasketDatabase, Vec<Itemset>) {
@@ -38,9 +37,6 @@ fn bench_counting(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("bitmap", threads), &threads, |b, &t| {
             b.iter(|| count_with_bitmaps(&index, &candidates, t));
-        });
-        group.bench_with_input(BenchmarkId::new("scan", threads), &threads, |b, &t| {
-            b.iter(|| count_with_scan(&db, &candidates, t));
         });
     }
     group.finish();

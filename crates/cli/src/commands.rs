@@ -5,7 +5,7 @@
 use std::io::Write;
 
 use bmb_basket::{io as basket_io, BasketDatabase, Itemset};
-use bmb_core::{mine, mine_walk, pairs_report, CountingStrategy, MinerConfig, SupportSpec};
+use bmb_core::{mine, mine_walk, pairs_report, MinerConfig, SupportSpec};
 use bmb_lattice::WalkConfig;
 use bmb_stats::Chi2Test;
 
@@ -21,7 +21,6 @@ pub const MINE_SPEC: &[(&str, FlagKind)] = &[
     ("numeric", FlagKind::Boolean),
     ("walk", FlagKind::Boolean),
     ("walks", FlagKind::Value),
-    ("scan", FlagKind::Boolean),
     ("trace", FlagKind::Boolean),
 ];
 
@@ -146,11 +145,6 @@ pub fn cmd_mine(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         alpha: args.get_or("alpha", 0.95)?,
         max_level: args.get_or("max-level", 6usize)?,
         threads: args.get_or("threads", 1usize)?,
-        counting: if args.has("scan") {
-            CountingStrategy::BasketScan
-        } else {
-            CountingStrategy::Bitmap
-        },
         ..MinerConfig::default()
     };
     let sink = |e: std::io::Error| e.to_string();
@@ -1352,8 +1346,7 @@ bmb — correlation mining for generalized basket data
 
 USAGE:
   bmb mine FILE      [--support F] [--p F] [--alpha F] [--max-level N]
-                     [--threads N] [--numeric] [--scan] [--walk] [--walks N]
-                     [--trace]
+                     [--threads N] [--numeric] [--walk] [--walks N] [--trace]
   bmb pairs FILE     [--alpha F] [--numeric]
   bmb rules FILE     [--support F] [--confidence F] [--numeric]
   bmb generate KIND  [--n N] [--items N] [--seed N] [--out FILE]
@@ -1803,6 +1796,13 @@ mod tests {
         assert!(rendered.contains(r#""support":2"#), "{rendered}");
         thread.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mine_rejects_the_removed_scan_flag() {
+        let tokens = ["mine", "baskets.txt", "--scan"];
+        let err = Args::parse(tokens.iter().map(|s| s.to_string()), MINE_SPEC).unwrap_err();
+        assert!(err.contains("unknown flag --scan"), "{err}");
     }
 
     #[test]

@@ -56,7 +56,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use bmb_basket::{ContingencyTable, ItemId, Itemset};
 use bmb_core::{
@@ -335,10 +335,7 @@ impl RpcSpan {
             .clone()
             .with("trace", Value::Str(trace.to_string()))
             .with("pspan", Value::Str(format!("{span:016x}")));
-        let start_unix_us = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-            .unwrap_or(0);
+        let start_unix_us = bmb_obs::unix_micros_now();
         Some((
             stamped,
             RpcSpan {

@@ -46,17 +46,6 @@ pub enum Level1Prune {
     Off,
 }
 
-/// How contingency tables are counted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CountingStrategy {
-    /// Build a vertical bitmap index once; intersect per candidate.
-    #[default]
-    Bitmap,
-    /// One horizontal pass per level counting all candidates at once (the
-    /// paper's "one pass over the database at each level").
-    BasketScan,
-}
-
 /// Full miner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MinerConfig {
@@ -72,14 +61,12 @@ pub struct MinerConfig {
     pub level1: Level1Prune,
     /// Hard cap on itemset size (`usize::MAX` for none).
     pub max_level: usize,
-    /// Contingency counting strategy.
-    pub counting: CountingStrategy,
     /// Degrees-of-freedom convention for the chi-squared cutoff.
     pub df: DfConvention,
     /// Optionally ignore cells with expectation below this in the χ²
     /// statistic (Section 3.3's workaround).
     pub low_expectation_cutoff: Option<f64>,
-    /// Worker threads for candidate counting (1 = sequential).
+    /// Worker threads for candidate counting and evaluation (1 = sequential).
     pub threads: usize,
 }
 
@@ -91,7 +78,6 @@ impl Default for MinerConfig {
             support_fraction: 0.3,
             level1: Level1Prune::default(),
             max_level: usize::MAX,
-            counting: CountingStrategy::default(),
             df: DfConvention::PaperSingle,
             low_expectation_cutoff: None,
             threads: 1,

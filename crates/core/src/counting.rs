@@ -1,14 +1,15 @@
 //! Batch support counting and contingency-table assembly.
 //!
 //! The miner needs, at each level, the support `O(S)` of every candidate.
-//! Both strategies of [`crate::config::CountingStrategy`] are implemented,
-//! each optionally parallelized with crossbeam scoped threads. Full
-//! contingency tables are then assembled *without further passes*: every
-//! proper subset of a candidate was itself counted at a lower level (that
-//! is the invariant of candidate generation), so the `2^m` cell counts
-//! follow from stored subset supports by Möbius inversion.
+//! It intersects the item bitmaps of a [`BitmapIndex`] built once per run,
+//! split across scoped threads. The paper's one pass over the baskets per
+//! level gives the same integers about a hundred times slower
+//! (EXPERIMENTS.md, "Retiring the basket scan"). Full contingency tables
+//! are then assembled *without further passes*: every proper subset of a
+//! candidate was itself counted at a lower level (that is the invariant of
+//! candidate generation), so the `2^m` cell counts follow from stored
+//! subset supports by Möbius inversion.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bmb_basket::{BasketDatabase, BitmapIndex, ContingencyTable, ItemId, Itemset};
@@ -68,14 +69,37 @@ impl MarginalSource for Marginals {
     }
 }
 
-/// Rejoins a scoped-thread result, re-raising a worker's panic payload
-/// in the calling thread. Unlike `.expect(...)`, the original panic
-/// message and location survive intact.
-pub(crate) fn propagate<T>(result: Result<T, Box<dyn std::any::Any + Send + 'static>>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(payload) => std::panic::resume_unwind(payload),
+/// `(0..n).map(f)`, split into up to `threads` contiguous chunks: the
+/// first runs on the calling thread, each other one on a scoped thread,
+/// and the results come back in index order. Fewer than `serial_below`
+/// items run serially. A worker's panic is re-raised in the caller with
+/// its own payload, so the original message and location survive.
+pub(crate) fn split_map<R, F>(n: usize, threads: usize, serial_below: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 || n < serial_below {
+        return (0..n).map(f).collect();
     }
+    let chunk = n.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (chunk..n)
+            .step_by(chunk)
+            .map(|lo| scope.spawn(move || (lo..n.min(lo + chunk)).map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out: Vec<R> = Vec::with_capacity(n);
+        out.extend((0..chunk).map(f));
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
 }
 
 /// Stored supports of all itemsets counted so far (singletons live in the
@@ -135,100 +159,9 @@ impl SupportStore {
 /// Counts `O(S)` for every candidate by bitmap intersection, using up to
 /// `threads` workers.
 pub fn count_with_bitmaps(index: &BitmapIndex, candidates: &[Itemset], threads: usize) -> Vec<u64> {
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads == 1 || candidates.len() < 64 {
-        return candidates
-            .iter()
-            .map(|c| index.support_count(c.items()))
-            .collect();
-    }
-    let mut out = vec![0u64; candidates.len()];
-    let chunk = candidates.len().div_ceil(threads);
-    propagate(crossbeam::thread::scope(|scope| {
-        for (cand_chunk, out_chunk) in candidates.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (c, slot) in cand_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = index.support_count(c.items());
-                }
-            });
-        }
-    }));
-    out
-}
-
-/// Counts `O(S)` for every candidate with one pass over the horizontal
-/// database (the paper's per-level pass), using up to `threads` workers
-/// over disjoint basket ranges.
-pub fn count_with_scan(db: &BasketDatabase, candidates: &[Itemset], threads: usize) -> Vec<u64> {
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let level = candidates[0].len();
-    debug_assert!(candidates.iter().all(|c| c.len() == level));
-    let lookup: HashMap<&Itemset, usize> =
-        candidates.iter().enumerate().map(|(i, c)| (c, i)).collect();
-    let n = db.len();
-    let threads = threads.max(1).min(n.max(1));
-    let count_range = |lo: usize, hi: usize| -> Vec<u64> {
-        let mut local = vec![0u64; candidates.len()];
-        for b in lo..hi {
-            let basket = db.basket(b);
-            if basket.len() < level {
-                continue;
-            }
-            // Baskets are stored sorted+deduplicated, so skip the re-sort.
-            let basket_set = Itemset::from_sorted_slice(basket);
-            if subsets_cheaper(basket.len(), level, candidates.len()) {
-                for subset in basket_set.subsets_of_size(level) {
-                    if let Some(&idx) = lookup.get(&subset) {
-                        local[idx] += 1;
-                    }
-                }
-            } else {
-                for (idx, candidate) in candidates.iter().enumerate() {
-                    if candidate.is_subset_of(&basket_set) {
-                        local[idx] += 1;
-                    }
-                }
-            }
-        }
-        local
-    };
-    if threads == 1 {
-        return count_range(0, n);
-    }
-    let chunk = n.div_ceil(threads);
-    let partials: Vec<Vec<u64>> = propagate(crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                let count_range = &count_range;
-                scope.spawn(move |_| count_range(lo, hi))
-            })
-            .collect();
-        handles.into_iter().map(|h| propagate(h.join())).collect()
-    }));
-    let mut out = vec![0u64; candidates.len()];
-    for partial in partials {
-        for (acc, v) in out.iter_mut().zip(partial) {
-            *acc += v;
-        }
-    }
-    out
-}
-
-/// Whether enumerating the basket's size-`level` subsets beats testing
-/// every candidate.
-fn subsets_cheaper(basket_len: usize, level: usize, n_candidates: usize) -> bool {
-    let mut combos: u64 = 1;
-    for i in 0..level {
-        combos = combos.saturating_mul((basket_len - i) as u64) / (i as u64 + 1);
-        if combos > 1 << 40 {
-            return false;
-        }
-    }
-    combos <= n_candidates as u64
+    split_map(candidates.len(), threads, 64, |i| {
+        index.support_count(candidates[i].items())
+    })
 }
 
 /// Error from [`try_table_from_supports`]: a proper subset's support was
@@ -417,16 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_and_scan_agree() {
-        let db = db();
-        let index = BitmapIndex::build(&db);
-        let candidates = all_pairs();
-        let a = count_with_bitmaps(&index, &candidates, 1);
-        let b = count_with_scan(&db, &candidates, 1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn parallel_matches_sequential() {
         let db = db();
         let index = BitmapIndex::build(&db);
@@ -437,9 +360,18 @@ mod tests {
         let seq = count_with_bitmaps(&index, &candidates, 1);
         let par = count_with_bitmaps(&index, &candidates, 4);
         assert_eq!(seq, par);
-        let seq = count_with_scan(&db, &candidates, 1);
-        let par = count_with_scan(&db, &candidates, 3);
-        assert_eq!(seq, par);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker saw item 199")]
+    fn split_map_reraises_a_workers_own_panic() {
+        // Item 199 lies in the last of four chunks, run on a spawned thread.
+        split_map(200, 4, 64, |i| {
+            if i == 199 {
+                panic!("worker saw item {i}");
+            }
+            i
+        });
     }
 
     #[test]
@@ -477,12 +409,6 @@ mod tests {
         let store = SupportStore::new();
         // A triple needs its pair subsets in the store; none are there.
         table_from_supports(&db, &store, &Itemset::from_ids([0, 1, 2]), 1);
-    }
-
-    #[test]
-    fn empty_candidate_list() {
-        let db = db();
-        assert!(count_with_scan(&db, &[], 4).is_empty());
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 /// Pairwise reports over multi-valued categorical attributes.
 pub mod categorical_report;
-/// Miner configuration: support policy, pruning, counting strategy.
+/// Miner configuration: support policy, pruning, worker threads.
 pub mod config;
 /// Batch support counting and Möbius contingency-table assembly.
 pub mod counting;
@@ -67,7 +67,7 @@ pub mod walk_miner;
 pub use categorical_report::{
     categorical_pair, categorical_pairs_report, CategoricalPairCorrelation,
 };
-pub use config::{CountingStrategy, Level1Prune, MinerConfig, SupportSpec};
+pub use config::{Level1Prune, MinerConfig, SupportSpec};
 pub use counting::{
     merge_support_vectors, subset_itemsets, table_from_subset_supports, MarginalSource, Marginals,
 };

@@ -22,9 +22,9 @@ use bmb_basket::{BasketDatabase, BitmapIndex, ItemId, Itemset};
 use bmb_lattice::{generate_candidates, Border, ItemsetTable};
 use bmb_stats::Chi2Test;
 
-use crate::config::{CountingStrategy, Level1Prune, MinerConfig};
+use crate::config::{Level1Prune, MinerConfig};
 use crate::counting::{
-    count_with_bitmaps, count_with_scan, table_from_supports, MarginalSource, SupportStore,
+    count_with_bitmaps, split_map, table_from_supports, MarginalSource, SupportStore,
 };
 use crate::sig::CorrelationRule;
 use crate::stats::{lattice_level_size, LevelStats};
@@ -51,13 +51,13 @@ pub struct MiningResult {
 /// Wall-time accounting for one mined level's stages.
 ///
 /// Kept apart from [`LevelStats`]: level stats are `Eq`-compared across
-/// thread counts and counting strategies, and wall times would never
-/// agree — counts go there, durations go here.
+/// thread counts, and wall times would never agree — counts go there,
+/// durations go here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LevelProfile {
     /// The level these timings belong to (itemset size).
     pub level: usize,
-    /// Support counting (bitmap intersection or basket scan), µs.
+    /// Support counting (bitmap intersection), µs.
     pub count_us: u64,
     /// Candidate evaluation (table assembly, support test, χ²), µs.
     pub evaluate_us: u64,
@@ -77,7 +77,7 @@ impl LevelProfile {
 /// Whole-run stage profile, populated by every [`mine`] call.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MinerProfile {
-    /// Bitmap-index construction, µs (0 under the scan strategy).
+    /// Bitmap-index construction, µs.
     pub index_build_us: u64,
     /// Level-1 pruning / initial pair generation, µs.
     pub initial_pairs_us: u64,
@@ -120,18 +120,12 @@ pub fn mine(db: &BasketDatabase, config: &MinerConfig) -> MiningResult {
     let index = {
         let _span = bmb_obs::trace::span_timed("index_build", &obs.index_build);
         let stage = Instant::now();
-        let index = match config.counting {
-            CountingStrategy::Bitmap => Some(BitmapIndex::build(db)),
-            CountingStrategy::BasketScan => None,
-        };
+        let index = BitmapIndex::build(db);
         profile.index_build_us = micros(stage.elapsed());
         index
     };
     let count = |candidates: &[Itemset]| -> Result<Vec<u64>, std::convert::Infallible> {
-        Ok(match &index {
-            Some(index) => count_with_bitmaps(index, candidates, config.threads),
-            None => count_with_scan(db, candidates, config.threads),
-        })
+        Ok(count_with_bitmaps(&index, candidates, config.threads))
     };
     match mine_levels(db, count, config, &obs, start, profile) {
         Ok(result) => result,
@@ -401,8 +395,9 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
     chi2_test: &Chi2Test,
     threads: usize,
 ) -> Vec<Verdict> {
-    let evaluate = |candidate: &Itemset, supp: u64| -> Verdict {
-        let table = table_from_supports(marginals, store, candidate, supp);
+    split_map(candidates.len(), threads, 256, |i| {
+        let candidate = &candidates[i];
+        let table = table_from_supports(marginals, store, candidate, supports[i]);
         let support = cell_support(&table, s, cells_required);
         if !support.supported() {
             return Verdict::Discarded;
@@ -416,40 +411,7 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
             }),
             None => Verdict::NotSignificant,
         }
-    };
-    let threads = threads.max(1).min(candidates.len().max(1));
-    if threads == 1 || candidates.len() < 256 {
-        return candidates
-            .iter()
-            .zip(supports)
-            .map(|(c, &supp)| evaluate(c, supp))
-            .collect();
-    }
-    let chunk = candidates.len().div_ceil(threads);
-    let scoped = crossbeam::thread::scope(|scope| {
-        let evaluate = &evaluate;
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .zip(supports.chunks(chunk))
-            .map(|(cand_chunk, supp_chunk)| {
-                scope.spawn(move |_| {
-                    cand_chunk
-                        .iter()
-                        .zip(supp_chunk)
-                        .map(|(c, &supp)| evaluate(c, supp))
-                        .collect::<Vec<Verdict>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| crate::counting::propagate(h.join()))
-            .collect::<Vec<Vec<Verdict>>>()
-    });
-    crate::counting::propagate(scoped)
-        .into_iter()
-        .flatten()
-        .collect()
+    })
 }
 
 /// Step 3: the initial pair candidates under the chosen level-1 policy,
@@ -611,29 +573,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bitmap_and_scan_strategies_agree() {
-        let db = bmb_datasets::planted_pair(1500, 8, 0.25, 0.6, 11);
-        let a = mine(
-            &db,
-            &MinerConfig {
-                counting: CountingStrategy::Bitmap,
-                ..base_config()
-            },
-        );
-        let b = mine(
-            &db,
-            &MinerConfig {
-                counting: CountingStrategy::BasketScan,
-                ..base_config()
-            },
-        );
-        assert_eq!(a.levels, b.levels);
-        let sa: Vec<&Itemset> = a.significant.iter().map(|r| &r.itemset).collect();
-        let sb: Vec<&Itemset> = b.significant.iter().map(|r| &r.itemset).collect();
-        assert_eq!(sa, sb);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use registry::{
     SeriesSnapshot,
 };
 pub use spanring::{next_span_id, SpanRecord, SpanRing, DEFAULT_SPAN_CAPACITY};
-pub use trace::{EventLog, Severity, Sink, Span, TraceId};
+pub use trace::{unix_micros_now, EventLog, Severity, Sink, Span, TraceId};
 
 /// The process-wide registry, used by code with no natural owner for a
 /// per-object registry (the batch miner). Servers and stores own their

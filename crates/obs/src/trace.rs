@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::ledger::EventLedger;
@@ -426,16 +426,54 @@ impl EventLog {
     }
 }
 
-fn unix_micros_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0)
+/// Microseconds since the Unix epoch, for span and event stamps.
+///
+/// The wall clock is read once per process; each reading adds the
+/// monotonic time since then. Stamps therefore never step with the wall
+/// clock, and a stamp taken next to an `Instant` stays in line with the
+/// durations measured from it.
+pub fn unix_micros_now() -> u64 {
+    static ANCHOR: OnceLock<(Instant, u64)> = OnceLock::new();
+    let (anchor, anchor_unix_us) = *ANCHOR.get_or_init(|| {
+        let unix_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
+            .unwrap_or(0);
+        (Instant::now(), unix_us)
+    });
+    let since = u64::try_from(anchor.elapsed().as_micros()).unwrap_or(u64::MAX);
+    anchor_unix_us.saturating_add(since)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unix_micros_never_decrease_and_track_instant() {
+        let start = Instant::now();
+        let first = unix_micros_now();
+        let mut last = first;
+        for _ in 0..10_000 {
+            let now = unix_micros_now();
+            assert!(now >= last, "stamp went back from {last} to {now}");
+            last = now;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let advanced = unix_micros_now() - first;
+        let elapsed = u64::try_from(start.elapsed().as_micros()).unwrap();
+        // Each stamp truncates to whole µs, hence the ±1.
+        assert!(
+            (19_999..=elapsed + 1).contains(&advanced),
+            "stamps advanced {advanced} µs over a 20 ms sleep inside {elapsed} µs"
+        );
+        let wall = SystemTime::now().duration_since(UNIX_EPOCH).unwrap();
+        let wall_us = u64::try_from(wall.as_micros()).unwrap();
+        assert!(
+            wall_us.abs_diff(unix_micros_now()) < 5_000_000,
+            "stamps are Unix microseconds"
+        );
+    }
 
     #[test]
     fn span_stack_tracks_nesting() {

@@ -33,7 +33,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use bmb_basket::wal::DurableStore;
 use bmb_basket::{ItemId, Itemset};
@@ -246,7 +246,8 @@ impl Server {
         let rx = Mutex::new(rx);
         let workers = self.config.workers.max(1);
         let max_connections = self.config.max_connections.max(1) as u64;
-        let result = crossbeam::thread::scope(|scope| {
+        let worker_panicked = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers + 1);
             for _ in 0..workers {
                 let ctx = ConnectionContext {
                     service: self.service.as_ref(),
@@ -256,15 +257,15 @@ impl Server {
                     trace_seq: &self.trace_seq,
                 };
                 let rx = &rx;
-                scope.spawn(move |_| worker_loop(rx, ctx));
+                handles.push(scope.spawn(move || worker_loop(rx, ctx)));
             }
             if let Some(listener) = &self.metrics_listener {
                 let shutdown = shutdown.clone();
                 let service = self.service.as_ref();
                 let metrics = &self.metrics;
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     metrics_http_loop(listener, shutdown, || service.render_metrics(metrics))
-                });
+                }));
             }
             // Acceptor: hand connections to the pool until shutdown.
             // Admission control happens here — a connection the pool
@@ -309,8 +310,15 @@ impl Server {
                 }
             }
             drop(tx); // Workers drain queued connections, then exit.
+                      // Joining every handle here keeps a worker's panic from
+                      // re-raising out of the scope; it becomes this run's error.
+            let mut panicked = false;
+            for handle in handles {
+                panicked |= handle.join().is_err();
+            }
+            panicked
         });
-        if result.is_err() {
+        if worker_panicked {
             return Err(io::Error::other("a server worker panicked"));
         }
         Ok(())
@@ -670,10 +678,7 @@ fn deadline_sensitive(request: &Request) -> bool {
 /// should shut down afterwards.
 fn handle_line(line: &str, ctx: &ConnectionContext<'_>) -> (Value, bool) {
     let start = Instant::now();
-    let start_unix_us = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0);
+    let start_unix_us = bmb_obs::unix_micros_now();
     let deadline = ctx.config.request_deadline;
     let parsed = parse_request(line);
     // A valid client-supplied (or coordinator-stamped) `"trace"` is

@@ -4,7 +4,8 @@
 //! reader threads take snapshots and verify that every snapshot answer is
 //! *bit-identical* to a serial recomputation over that snapshot's baskets
 //! — the consistency contract of the serving layer: a snapshot is a fixed
-//! epoch, no matter how much ingest races past it.
+//! epoch, no matter how much ingest races past it. A server whose worker
+//! panics must report that from its run once drained.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,11 +52,11 @@ fn concurrent_ingest_and_queries_agree_with_serial_recomputation() {
         Itemset::from_ids([1, 3, 8, 11]),
     ];
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let store = Arc::clone(&store);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let baskets = writer_baskets(w);
                     for chunk in baskets.chunks(BATCH) {
                         store
@@ -70,7 +71,7 @@ fn concurrent_ingest_and_queries_agree_with_serial_recomputation() {
             let engine = &engine;
             let done = &done;
             let sets = &queried_sets;
-            readers.push(scope.spawn(move |_| {
+            readers.push(scope.spawn(move || {
                 let test = *engine.test();
                 let mut checks = 0u64;
                 let mut last_epoch = 0u64;
@@ -122,8 +123,7 @@ fn concurrent_ingest_and_queries_agree_with_serial_recomputation() {
             total_checks >= READERS as u64,
             "readers must have verified at least one epoch each"
         );
-    })
-    .expect("no thread panicked");
+    });
 
     // Final state: every basket landed exactly once, and the last
     // snapshot answers match a from-scratch batch recomputation.
@@ -139,4 +139,39 @@ fn concurrent_ingest_and_queries_agree_with_serial_recomputation() {
             serial.statistic.to_bits()
         );
     }
+}
+
+/// A service whose every dispatch panics, standing in for a worker bug.
+struct PanickingService;
+
+impl bmb_serve::Service for PanickingService {
+    fn dispatch(
+        &self,
+        _request: bmb_serve::Request,
+        _ctx: &bmb_serve::ServiceCtx<'_>,
+    ) -> Result<bmb_serve::json::Value, bmb_serve::ServiceFailure> {
+        panic!("dispatch bug");
+    }
+
+    fn registries(&self) -> Vec<Arc<bmb_obs::Registry>> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn a_panicking_worker_fails_the_run_once_drained() {
+    let server = bmb_serve::Server::bind_service(
+        Arc::new(PanickingService),
+        bmb_serve::ServerConfig::default(),
+    )
+    .expect("bind");
+    let running = server.spawn();
+    let mut client = bmb_serve::Client::connect(running.addr).expect("connect");
+    let request = bmb_serve::json::parse(r#"{"cmd":"chi2","items":[0,1]}"#).expect("request");
+    assert!(
+        client.request(&request).is_err(),
+        "the worker died, so no answer"
+    );
+    let err = running.stop().expect_err("a worker panicked");
+    assert_eq!(err.to_string(), "a server worker panicked");
 }

@@ -8,7 +8,8 @@
 
 /// Relative tolerance for the series / continued-fraction iterations.
 const EPS: f64 = 1e-14;
-/// Iteration cap; generous — convergence is typically < 100 terms.
+/// Iteration cap; generous for small shapes, where convergence is
+/// typically < 100 terms. The series adds `10·√a` for wide shapes.
 const MAX_ITER: usize = 500;
 
 /// Lanczos coefficients for `g = 7`, `n = 9` (Godfrey's values).
@@ -114,11 +115,14 @@ pub fn ln_regularized_gamma_q(a: f64, x: f64) -> f64 {
 }
 
 /// Series expansion: `P(a,x) = e^{−x} x^a / Γ(a) · Σ_k x^k / (a(a+1)...(a+k))`.
+///
+/// Near `x ≈ a` the terms shrink like `e^{−k²/2a}`, so the series needs
+/// ~8√a terms to converge; the cap grows with the shape accordingly.
 fn gamma_p_series(a: f64, x: f64) -> f64 {
     let mut term = 1.0 / a;
     let mut sum = term;
     let mut ap = a;
-    for _ in 0..MAX_ITER {
+    for _ in 0..MAX_ITER + (10.0 * a.sqrt()) as usize {
         ap += 1.0;
         term *= x / ap;
         sum += term;
@@ -255,6 +259,39 @@ mod tests {
             let p = regularized_gamma_p(a, x);
             assert!(p >= prev, "P({a},{x}) = {p} < previous {prev}");
             prev = p;
+        }
+    }
+
+    /// `ln_sf` at the saturated df of an m-item table, df = 2^m − m − 1,
+    /// where the shape a = df/2 runs far past the fixed iteration cap.
+    /// References: the normal limit with the one-term Edgeworth skew
+    /// correction `φ(z)·(γ/6)·(z² − 1)`, γ = √(8/df): ln 0.5 at the mean
+    /// (z = 0) once the correction vanishes, ≈ −6.6 at +3σ.
+    #[test]
+    fn chi2_ln_sf_holds_at_wide_saturated_df() {
+        const NORMAL_PDF_0: f64 = 0.398_942_280_401_432_7;
+        const NORMAL_PDF_3: f64 = 4.431_848_411_938_008e-3;
+        const NORMAL_TAIL_3: f64 = 1.349_898_031_630_094_5e-3;
+        for m in [10u32, 14, 17, 20, 24, 30] {
+            let df = ((1u64 << m) - u64::from(m) - 1) as f64;
+            let dist = crate::chi2dist::ChiSquared::new(df);
+            let skew = (8.0 / df).sqrt();
+            let at_mean = dist.ln_sf(df);
+            assert!(
+                (at_mean - 0.5f64.ln()).abs() < 0.015,
+                "m = {m}: ln_sf(df) = {at_mean}"
+            );
+            let expected = (0.5 - NORMAL_PDF_0 * skew / 6.0).ln();
+            assert!(
+                (at_mean - expected).abs() < 1e-3,
+                "m = {m}: ln_sf(df) = {at_mean}, expected {expected}"
+            );
+            let at_3sigma = dist.ln_sf(df + 3.0 * (2.0 * df).sqrt());
+            let expected = (NORMAL_TAIL_3 + NORMAL_PDF_3 * skew / 6.0 * 8.0).ln();
+            assert!(
+                (at_3sigma - expected).abs() < 0.03,
+                "m = {m}: ln_sf at +3σ = {at_3sigma}, expected {expected}"
+            );
         }
     }
 

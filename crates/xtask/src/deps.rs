@@ -12,14 +12,7 @@ use std::path::Path;
 use crate::report::{Finding, Lint};
 
 /// External crates this workspace may depend on, and nothing else.
-pub const ALLOWED_EXTERNAL: &[&str] = &[
-    "rand",
-    "proptest",
-    "criterion",
-    "serde",
-    "crossbeam",
-    "parking_lot",
-];
+pub const ALLOWED_EXTERNAL: &[&str] = &["rand", "proptest", "criterion", "serde", "parking_lot"];
 
 /// Internal name prefixes that are always allowed.
 const INTERNAL_PREFIXES: &[&str] = &["bmb-", "bmb_"];

@@ -4,7 +4,7 @@
 
 use beyond_market_baskets::prelude::*;
 use beyond_market_baskets::{datasets, lattice, quest};
-use bmb_core::{CountingStrategy, Level1Prune};
+use bmb_core::Level1Prune;
 use bmb_lattice::WalkConfig;
 
 fn config(s: u64) -> MinerConfig {
@@ -107,34 +107,31 @@ fn walk_and_levelwise_agree() {
     assert_eq!(walked.border, level_sets);
 }
 
-/// Counting strategies and thread counts never change the mining output.
+/// Thread counts never change the mining output.
 #[test]
-fn strategies_and_threads_invariant() {
+fn threads_invariant() {
     let db = datasets::planted_pair(3000, 10, 0.25, 0.6, 23);
     let base = mine(&db, &config(8));
-    for counting in [CountingStrategy::Bitmap, CountingStrategy::BasketScan] {
-        for threads in [1usize, 3] {
-            let result = mine(
-                &db,
-                &MinerConfig {
-                    counting,
-                    threads,
-                    ..config(8)
-                },
-            );
-            assert_eq!(result.levels, base.levels, "{counting:?}/{threads}");
-            assert_eq!(
-                result
-                    .significant
-                    .iter()
-                    .map(|r| &r.itemset)
-                    .collect::<Vec<_>>(),
-                base.significant
-                    .iter()
-                    .map(|r| &r.itemset)
-                    .collect::<Vec<_>>()
-            );
-        }
+    for threads in [1usize, 3] {
+        let result = mine(
+            &db,
+            &MinerConfig {
+                threads,
+                ..config(8)
+            },
+        );
+        assert_eq!(result.levels, base.levels, "{threads} threads");
+        assert_eq!(
+            result
+                .significant
+                .iter()
+                .map(|r| &r.itemset)
+                .collect::<Vec<_>>(),
+            base.significant
+                .iter()
+                .map(|r| &r.itemset)
+                .collect::<Vec<_>>()
+        );
     }
 }
 

@@ -1,13 +1,13 @@
 //! Parallel/serial equivalence: sweeping the worker-thread count must
-//! never change a single count, verdict, or statistic. Both counting
-//! kernels and the full miner are exercised on a seeded 10k-basket Quest
-//! database, so the parallel chunking paths (>256 candidates) engage.
+//! never change a single count, verdict, or statistic. The bitmap
+//! counting kernel (against a plain per-basket count) and the full miner
+//! are exercised on a seeded 10k-basket Quest database, so the parallel
+//! chunking paths (>256 candidates) engage.
 
 use beyond_market_baskets::prelude::*;
 use beyond_market_baskets::quest;
 use bmb_basket::{BitmapIndex, ItemId, Itemset};
-use bmb_core::counting::{count_with_bitmaps, count_with_scan};
-use bmb_core::CountingStrategy;
+use bmb_core::counting::count_with_bitmaps;
 
 fn seeded_db() -> bmb_basket::BasketDatabase {
     let params = quest::QuestParams {
@@ -44,23 +44,21 @@ fn counting_kernels_agree_across_thread_counts() {
         "need enough candidates to engage parallel chunking"
     );
 
-    let scan_serial = count_with_scan(&db, &candidates, 1);
-    let bitmap_serial = count_with_bitmaps(&index, &candidates, 1);
-    assert_eq!(
-        scan_serial, bitmap_serial,
-        "scan and bitmap kernels disagree serially"
-    );
+    // Reference: each candidate tested against every basket, no index.
+    let baskets: Vec<Itemset> = db
+        .baskets()
+        .map(|b| Itemset::from_items(b.iter().copied()))
+        .collect();
+    let reference: Vec<u64> = candidates
+        .iter()
+        .map(|c| baskets.iter().filter(|b| c.is_subset_of(b)).count() as u64)
+        .collect();
 
-    for threads in 2..=8 {
-        let scan = count_with_scan(&db, &candidates, threads);
-        assert_eq!(
-            scan, scan_serial,
-            "count_with_scan diverged at {threads} threads"
-        );
+    for threads in 1..=8 {
         let bitmaps = count_with_bitmaps(&index, &candidates, threads);
         assert_eq!(
-            bitmaps, bitmap_serial,
-            "count_with_bitmaps diverged at {threads} threads"
+            bitmaps, reference,
+            "count_with_bitmaps diverged from the per-basket count at {threads} threads"
         );
     }
 }
@@ -68,49 +66,46 @@ fn counting_kernels_agree_across_thread_counts() {
 #[test]
 fn miner_results_are_thread_count_invariant() {
     let db = seeded_db();
-    let config = |threads: usize, counting: CountingStrategy| MinerConfig {
+    let config = |threads: usize| MinerConfig {
         support: SupportSpec::Fraction(0.01),
         threads,
-        counting,
         ..MinerConfig::default()
     };
 
-    for counting in [CountingStrategy::Bitmap, CountingStrategy::BasketScan] {
-        let baseline = mine(&db, &config(1, counting));
-        assert!(
-            !baseline.significant.is_empty(),
-            "seeded database must yield significant sets ({counting:?})"
+    let baseline = mine(&db, &config(1));
+    assert!(
+        !baseline.significant.is_empty(),
+        "seeded database must yield significant sets"
+    );
+    for threads in 2..=8 {
+        let run = mine(&db, &config(threads));
+        assert_eq!(
+            run.levels, baseline.levels,
+            "per-level accounting diverged at {threads} threads"
         );
-        for threads in 2..=8 {
-            let run = mine(&db, &config(threads, counting));
-            assert_eq!(
-                run.levels, baseline.levels,
-                "per-level accounting diverged at {threads} threads ({counting:?})"
-            );
-            let sets = |r: &MiningResult| {
-                r.significant
-                    .iter()
-                    .map(|s| s.itemset.clone())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                sets(&run),
-                sets(&baseline),
-                "significant itemsets diverged at {threads} threads ({counting:?})"
-            );
-            // Statistics must be bit-identical, not merely close: every
-            // candidate's χ² is computed from the same integer counts.
-            let stats = |r: &MiningResult| {
-                r.significant
-                    .iter()
-                    .map(|s| s.chi2.statistic.to_bits())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                stats(&run),
-                stats(&baseline),
-                "χ² statistics diverged at {threads} threads ({counting:?})"
-            );
-        }
+        let sets = |r: &MiningResult| {
+            r.significant
+                .iter()
+                .map(|s| s.itemset.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            sets(&run),
+            sets(&baseline),
+            "significant itemsets diverged at {threads} threads"
+        );
+        // Statistics must be bit-identical, not merely close: every
+        // candidate's χ² is computed from the same integer counts.
+        let stats = |r: &MiningResult| {
+            r.significant
+                .iter()
+                .map(|s| s.chi2.statistic.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            stats(&run),
+            stats(&baseline),
+            "χ² statistics diverged at {threads} threads"
+        );
     }
 }
