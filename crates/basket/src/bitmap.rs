@@ -1,193 +1,51 @@
-//! Fixed-width bitmaps and the per-item vertical index.
+//! The per-item vertical index over a database's baskets.
 //!
 //! The support of an itemset is "how many baskets contain every item". With
 //! one bitmap per item over the baskets, that is a word-wise AND plus
 //! popcount ([`BitmapIndex::support_count`]) — the workhorse behind the
 //! [`crate::counts::BitmapCounter`], the miner's counting and every sealed
-//! segment's supports.
+//! segment's supports. Every item's bitmap lives in one item-major
+//! `Vec<u64>`, so a build is one allocation plus one pass over the baskets.
 
 use crate::database::BasketDatabase;
 use crate::item::ItemId;
-
-/// A fixed-length bitmap over `len` positions, packed into `u64` words.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Bitmap {
-    len: usize,
-    words: Box<[u64]>,
-}
-
-impl Bitmap {
-    /// An all-zeros bitmap over `len` positions.
-    pub fn zeros(len: usize) -> Self {
-        Bitmap {
-            len,
-            words: vec![0u64; len.div_ceil(64)].into_boxed_slice(),
-        }
-    }
-
-    /// An all-ones bitmap over `len` positions.
-    pub fn ones(len: usize) -> Self {
-        let mut bm = Self::zeros(len);
-        for w in bm.words.iter_mut() {
-            *w = u64::MAX;
-        }
-        bm.mask_tail();
-        bm
-    }
-
-    /// Number of positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap covers zero positions.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets position `i` to one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        assert!(
-            i < self.len,
-            "bit {i} out of range for bitmap of {} bits",
-            self.len
-        );
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Clears position `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        assert!(
-            i < self.len,
-            "bit {i} out of range for bitmap of {} bits",
-            self.len
-        );
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Reads position `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        assert!(
-            i < self.len,
-            "bit {i} out of range for bitmap of {} bits",
-            self.len
-        );
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-
-    /// In-place AND with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn and_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= b;
-        }
-    }
-
-    /// In-place AND-NOT with `other` (`self &= !other`).
-    pub fn and_not_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= !b;
-        }
-    }
-
-    /// In-place OR with `other`.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
-    /// In-place complement (within `len`).
-    pub fn not_assign(&mut self) {
-        for w in self.words.iter_mut() {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
-    /// `popcount(self & other)` without materializing the intersection.
-    pub fn and_count(&self, other: &Bitmap) -> u64 {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| u64::from((a & b).count_ones()))
-            .sum()
-    }
-
-    /// Iterates the indexes of set bits in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rem = w;
-            std::iter::from_fn(move || {
-                if rem == 0 {
-                    None
-                } else {
-                    let tz = rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    Some(wi * 64 + tz)
-                }
-            })
-        })
-    }
-
-    /// Zeroes any bits past `len` in the final word, restoring the invariant
-    /// after whole-word operations like `not_assign`.
-    fn mask_tail(&mut self) {
-        let rem = self.len % 64;
-        if rem != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << rem) - 1;
-            }
-        }
-    }
-}
 
 /// Words per block of [`BitmapIndex::support_count`]'s multi-way AND: a
 /// 512-byte stack buffer covering 4,096 baskets.
 const BLOCK_WORDS: usize = 64;
 
-/// A vertical index: one [`Bitmap`] per item, over the baskets of a database.
+/// A vertical index: one bitmap per item, over the baskets of a database.
 ///
-/// `index.item(i)` has bit `b` set iff basket `b` contains item `i`.
+/// Bit `b` of `index.item(i)` (bit `b % 64` of word `b / 64`) is set iff
+/// basket `b` contains item `i`. Bits past the last basket are zero.
 #[derive(Clone, Debug)]
 pub struct BitmapIndex {
     n_baskets: usize,
-    item_bitmaps: Vec<Bitmap>,
+    n_items: usize,
+    /// Words per item bitmap: `⌈n_baskets / 64⌉`.
+    stride: usize,
+    /// Item `i`'s bitmap is `words[i * stride..(i + 1) * stride]`.
+    words: Vec<u64>,
 }
 
 impl BitmapIndex {
     /// Builds the index with one pass over `db`.
     pub fn build(db: &BasketDatabase) -> Self {
-        let n = db.len();
-        let k = db.n_items();
-        let mut item_bitmaps = vec![Bitmap::zeros(n); k];
+        let n_baskets = db.len();
+        let n_items = db.n_items();
+        let stride = n_baskets.div_ceil(64);
+        let mut words = vec![0u64; n_items * stride];
         for (b, basket) in db.baskets().enumerate() {
+            let (word, bit) = (b / 64, 1u64 << (b % 64));
             for &item in basket {
-                item_bitmaps[item.index()].set(b);
+                words[item.index() * stride + word] |= bit;
             }
         }
         BitmapIndex {
-            n_baskets: n,
-            item_bitmaps,
+            n_baskets,
+            n_items,
+            stride,
+            words,
         }
     }
 
@@ -198,16 +56,22 @@ impl BitmapIndex {
 
     /// Number of items the index covers.
     pub fn n_items(&self) -> usize {
-        self.item_bitmaps.len()
+        self.n_items
     }
 
-    /// The bitmap for one item.
+    /// The bitmap of one item: `⌈n_baskets / 64⌉` words.
     ///
     /// # Panics
     ///
     /// Panics if `item` is out of range.
-    pub fn item(&self, item: ItemId) -> &Bitmap {
-        &self.item_bitmaps[item.index()]
+    pub fn item(&self, item: ItemId) -> &[u64] {
+        let i = item.index();
+        assert!(
+            i < self.n_items,
+            "item {i} out of range for an index over {} items",
+            self.n_items
+        );
+        &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
     /// `O(S)`: the number of baskets containing every item of `items`.
@@ -220,10 +84,15 @@ impl BitmapIndex {
     pub fn support_count(&self, items: &[ItemId]) -> u64 {
         match items {
             [] => self.n_baskets as u64,
-            [single] => self.item(*single).count_ones(),
-            [a, b] => self.item(*a).and_count(self.item(*b)),
+            [single] => popcount(self.item(*single)),
+            [a, b] => self
+                .item(*a)
+                .iter()
+                .zip(self.item(*b))
+                .map(|(x, y)| u64::from((x & y).count_ones()))
+                .sum(),
             [a, b, rest @ ..] => {
-                let (a, b) = (&self.item(*a).words, &self.item(*b).words);
+                let (a, b) = (self.item(*a), self.item(*b));
                 let mut buffer = [0u64; BLOCK_WORDS];
                 let mut total = 0u64;
                 for start in (0..a.len()).step_by(BLOCK_WORDS) {
@@ -233,11 +102,11 @@ impl BitmapIndex {
                         *slot = x & y;
                     }
                     for item in rest {
-                        for (slot, w) in acc.iter_mut().zip(&self.item(*item).words[start..end]) {
+                        for (slot, w) in acc.iter_mut().zip(&self.item(*item)[start..end]) {
                             *slot &= w;
                         }
                     }
-                    total += acc.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                    total += popcount(acc);
                 }
                 total
             }
@@ -245,82 +114,15 @@ impl BitmapIndex {
     }
 }
 
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::BasketDatabase;
-
-    #[test]
-    fn zeros_ones_and_len() {
-        let z = Bitmap::zeros(130);
-        assert_eq!(z.len(), 130);
-        assert_eq!(z.count_ones(), 0);
-        let o = Bitmap::ones(130);
-        assert_eq!(o.count_ones(), 130);
-    }
-
-    #[test]
-    fn set_get_clear() {
-        let mut b = Bitmap::zeros(70);
-        b.set(0);
-        b.set(63);
-        b.set(64);
-        b.set(69);
-        assert!(b.get(0) && b.get(63) && b.get(64) && b.get(69));
-        assert!(!b.get(1));
-        assert_eq!(b.count_ones(), 4);
-        b.clear(63);
-        assert!(!b.get(63));
-        assert_eq!(b.count_ones(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_panics() {
-        Bitmap::zeros(10).get(10);
-    }
-
-    #[test]
-    fn not_assign_masks_tail() {
-        let mut b = Bitmap::zeros(65);
-        b.not_assign();
-        assert_eq!(b.count_ones(), 65);
-        b.not_assign();
-        assert_eq!(b.count_ones(), 0);
-    }
-
-    #[test]
-    fn boolean_ops() {
-        let mut a = Bitmap::zeros(100);
-        let mut b = Bitmap::zeros(100);
-        for i in (0..100).step_by(2) {
-            a.set(i);
-        }
-        for i in (0..100).step_by(3) {
-            b.set(i);
-        }
-        assert_eq!(a.and_count(&b), 17); // multiples of 6 in [0,100)
-        let mut c = a.clone();
-        c.and_assign(&b);
-        assert_eq!(c.count_ones(), 17);
-        let mut d = a.clone();
-        d.or_assign(&b);
-        assert_eq!(d.count_ones(), 50 + 34 - 17);
-        let mut e = a.clone();
-        e.and_not_assign(&b);
-        assert_eq!(e.count_ones(), 50 - 17);
-    }
-
-    #[test]
-    fn iter_ones_round_trip() {
-        let mut b = Bitmap::zeros(200);
-        let positions = [0usize, 1, 63, 64, 65, 127, 128, 199];
-        for &p in &positions {
-            b.set(p);
-        }
-        let got: Vec<usize> = b.iter_ones().collect();
-        assert_eq!(got, positions);
-    }
+    use crate::itemset::Itemset;
 
     fn toy_db() -> BasketDatabase {
         // 4 baskets over 3 items:
@@ -392,5 +194,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn flat_index_matches_the_baskets_at_word_edges() {
+        use rand::{Rng, SeedableRng};
+        // Item 5 is in no basket.
+        let n_items = 6u32;
+        let empty = ItemId(5);
+        for n in [0usize, 1, 63, 64, 65, 4_097] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64 + 7);
+            let baskets: Vec<Vec<u32>> = (0..n)
+                .map(|_| (0..n_items - 1).filter(|_| rng.gen_bool(0.5)).collect())
+                .collect();
+            let db = BasketDatabase::from_id_baskets(n_items as usize, baskets);
+            let index = BitmapIndex::build(&db);
+            assert_eq!((index.n_baskets(), index.n_items()), (n, n_items as usize));
+            for i in (0..n_items).map(ItemId) {
+                let words = index.item(i);
+                assert_eq!(words.len(), n.div_ceil(64), "n = {n}");
+                let single = Itemset::singleton(i);
+                for b in 0..words.len() * 64 {
+                    let bit = words[b / 64] >> (b % 64) & 1 == 1;
+                    // Bits past the last basket stay zero.
+                    let expected = b < n && db.basket_contains(b, &single);
+                    assert_eq!(bit, expected, "n = {n}, item {i:?}, bit {b}");
+                }
+                assert_eq!(index.support_count(&[i]), naive_support(&db, &[i]));
+                for j in (i.0 + 1..n_items).map(ItemId) {
+                    assert_eq!(
+                        index.support_count(&[i, j]),
+                        naive_support(&db, &[i, j]),
+                        "n = {n}, pair ({i:?}, {j:?})"
+                    );
+                }
+            }
+            assert_eq!(index.support_count(&[empty]), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_item_panics() {
+        let index = BitmapIndex::build(&toy_db());
+        index.item(ItemId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_item_panics_over_no_baskets() {
+        // With no baskets every bitmap is zero words long, so only the
+        // item check can catch this.
+        let index = BitmapIndex::build(&BasketDatabase::from_id_baskets(3, vec![]));
+        index.support_count(&[ItemId(3)]);
     }
 }

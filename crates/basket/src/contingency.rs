@@ -17,6 +17,7 @@
 //!   chi-squared formula `Σ O(O − 2E)/E + n`.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use crate::bitmap::BitmapIndex;
 use crate::database::BasketDatabase;
@@ -78,11 +79,7 @@ impl ContingencyTable {
     /// Panics if the itemset is empty or larger than [`MAX_DENSE_DIMS`].
     pub fn from_database(db: &BasketDatabase, itemset: &Itemset) -> Self {
         let m = itemset.len();
-        assert!(m > 0, "contingency table needs at least one item");
-        assert!(
-            m <= MAX_DENSE_DIMS,
-            "dense table limited to {MAX_DENSE_DIMS} dimensions"
-        );
+        assert_dense_dims(m);
         let mut counts = vec![0u64; 1 << m];
         for basket in db.baskets() {
             counts[cell_mask_of(basket, itemset) as usize] += 1;
@@ -98,51 +95,101 @@ impl ContingencyTable {
     }
 
     /// Builds the table from a vertical bitmap index by computing the
-    /// support of every sub-mask and Möbius-inverting the superset sums.
+    /// support of every sub-mask and Möbius-inverting the superset sums
+    /// ([`ContingencyTable::from_subset_supports`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the itemset is empty or larger than [`MAX_DENSE_DIMS`].
+    pub fn from_index(index: &BitmapIndex, itemset: &Itemset) -> Self {
+        Self::from_subsets(itemset, |subset| index.support_count(subset))
+    }
+
+    /// [`ContingencyTable::try_from_subsets`] for a `support` that cannot
+    /// fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the itemset is empty or larger than [`MAX_DENSE_DIMS`].
+    pub fn from_subsets(itemset: &Itemset, mut support: impl FnMut(&[ItemId]) -> u64) -> Self {
+        let Ok(table) =
+            Self::try_from_subsets(itemset, |subset| Ok::<u64, Infallible>(support(subset)));
+        table
+    }
+
+    /// Builds the table from the supports of `itemset`'s `2^m` subsets.
+    ///
+    /// `support` is asked for each subset in mask order (bit `j` of the
+    /// mask selects the `j`-th item), with the subset's items sorted in a
+    /// stack buffer; its answers fill one support vector, which
+    /// [`ContingencyTable::from_subset_supports`] inverts in place. The
+    /// first `Err` aborts the build and is returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the itemset is empty or larger than [`MAX_DENSE_DIMS`].
+    pub fn try_from_subsets<E>(
+        itemset: &Itemset,
+        mut support: impl FnMut(&[ItemId]) -> Result<u64, E>,
+    ) -> Result<Self, E> {
+        let m = itemset.len();
+        assert_dense_dims(m);
+        let items = itemset.items();
+        let mut key = [ItemId(0); MAX_DENSE_DIMS];
+        let mut supports = Vec::with_capacity(1 << m);
+        for mask in 0u32..(1 << m) {
+            let mut len = 0;
+            for (j, &item) in items.iter().enumerate() {
+                if mask & (1 << j) != 0 {
+                    key[len] = item;
+                    len += 1;
+                }
+            }
+            supports.push(support(&key[..len])?);
+        }
+        Ok(Self::from_subset_supports(itemset.clone(), supports))
+    }
+
+    /// Builds the table from a complete *support vector*:
+    /// `supports[mask]` is the number of baskets containing every item
+    /// `mask` selects (bit `j` selects the `j`-th item). Every contingency
+    /// table assembled from supports — bitmap index, segment snapshot,
+    /// query engine, miner and cluster coordinator — goes through this one
+    /// inversion, so equal support vectors give bit-identical tables.
     ///
     /// `supp(mask) = Σ_{cell ⊇ mask} O(cell)`, so subtracting the
-    /// superset-sum transform bit-by-bit recovers `O` in `O(m·2^m)` after
-    /// `2^m` bitmap intersections.
-    pub fn from_index(index: &BitmapIndex, itemset: &Itemset) -> Self {
+    /// superset-sum transform bit by bit recovers `O` in `O(m·2^m)`, in
+    /// place. A cell that comes out negative (only inconsistent supports
+    /// can do that) is clamped to 0; the item marginals are then summed
+    /// from the cells, as in [`ContingencyTable::from_counts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the itemset is empty or larger than [`MAX_DENSE_DIMS`],
+    /// or if `supports.len() != 2^m`.
+    pub fn from_subset_supports(itemset: Itemset, mut supports: Vec<u64>) -> Self {
         let m = itemset.len();
-        assert!(m > 0, "contingency table needs at least one item");
-        assert!(
-            m <= MAX_DENSE_DIMS,
-            "dense table limited to {MAX_DENSE_DIMS} dimensions"
+        assert_dense_dims(m);
+        assert_eq!(
+            supports.len(),
+            1 << m,
+            "support vector must hold all 2^m subset supports"
         );
-        let items = itemset.items();
-        // supp[mask]: number of baskets containing all items selected by mask.
-        let mut supp: Vec<i64> = vec![0; 1 << m];
-        for mask in 0..(1u32 << m) {
-            let query: Vec<ItemId> = (0..m)
-                .filter(|&j| mask & (1 << j) != 0)
-                .map(|j| items[j])
-                .collect();
-            supp[mask as usize] = index.support_count(&query) as i64;
-        }
-        // Invert the superset-sum: counts[mask] = Σ_{S ⊇ mask} (−1)^{|S\mask|} supp[S].
+        // counts[mask] = Σ_{S ⊇ mask} (−1)^{|S∖mask|} supp[S]. Wrapping u64
+        // subtraction is i64 subtraction read as two's complement, so the
+        // sign test below sees exactly what signed arithmetic would.
         for bit in 0..m {
-            for mask in 0..(1u32 << m) {
-                if mask & (1 << bit) == 0 {
-                    supp[mask as usize] -= supp[(mask | (1 << bit)) as usize];
+            let step = 1usize << bit;
+            for mask in 0..supports.len() {
+                if mask & step == 0 {
+                    supports[mask] = supports[mask].wrapping_sub(supports[mask | step]);
                 }
             }
         }
-        let counts: Vec<u64> = supp
-            .into_iter()
-            .map(|c| {
-                debug_assert!(c >= 0, "Möbius inversion produced a negative cell count");
-                c.max(0) as u64
-            })
-            .collect();
-        let item_counts = items.iter().map(|&i| index.item(i).count_ones()).collect();
-        ContingencyTable {
-            itemset: itemset.clone(),
-            n: index.n_baskets() as u64,
-            counts,
-            item_counts,
+        for count in &mut supports {
+            *count = (*count as i64).max(0) as u64;
         }
-        .checked()
+        Self::from_counts(itemset, supports)
     }
 
     /// Builds a table directly from raw cell counts and item marginals.
@@ -383,6 +430,16 @@ impl SparseContingencyTable {
         }
         self.cells.values().filter(|&&c| c >= s).count()
     }
+}
+
+/// The dimension limits every dense constructor but
+/// [`ContingencyTable::from_counts`] enforces.
+fn assert_dense_dims(m: usize) {
+    assert!(m > 0, "contingency table needs at least one item");
+    assert!(
+        m <= MAX_DENSE_DIMS,
+        "dense table limited to {MAX_DENSE_DIMS} dimensions"
+    );
 }
 
 /// Computes the cell (as a [`CellMask`]) a sorted basket falls into for the

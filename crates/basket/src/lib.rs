@@ -13,8 +13,8 @@
 //!   lattice algorithms need;
 //! * [`BasketDatabase`] — the paper's `B`, with per-item counts maintained
 //!   online;
-//! * [`Bitmap`] / [`BitmapIndex`] — a vertical representation for fast
-//!   cell counting;
+//! * [`BitmapIndex`] — a vertical representation for fast support
+//!   counting;
 //! * [`ScanCounter`] / [`BitmapCounter`] — interchangeable support-counting
 //!   strategies behind the [`SupportCounter`] trait;
 //! * [`ContingencyTable`] / [`SparseContingencyTable`] — dense and
@@ -32,7 +32,7 @@
 
 #![warn(missing_docs)]
 
-/// Fixed-width bitmaps and the vertical (per-item) basket index.
+/// The vertical (per-item) basket index.
 pub mod bitmap;
 /// Multinomial (non-binary) attributes generalized from presence/absence.
 pub mod categorical;
@@ -61,7 +61,7 @@ pub mod storage;
 /// Checksummed write-ahead log and the crash-safe [`DurableStore`].
 pub mod wal;
 
-pub use bitmap::{Bitmap, BitmapIndex};
+pub use bitmap::BitmapIndex;
 pub use checkpoint::{checkpoint_name, parse_checkpoint_name, MANIFEST_NAME};
 pub use contingency::{
     cell_mask_of, CellMask, ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS,

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::bitmap::BitmapIndex;
+use crate::contingency::ContingencyTable;
 use crate::database::BasketDatabase;
 use crate::item::ItemId;
 use crate::itemset::Itemset;
@@ -411,31 +412,8 @@ impl Snapshot {
     ///
     /// Panics if `set` is empty or larger than
     /// [`crate::contingency::MAX_DENSE_DIMS`].
-    pub fn contingency_table(&self, set: &Itemset) -> crate::contingency::ContingencyTable {
-        let m = set.len();
-        assert!(m > 0, "contingency table needs at least one item");
-        assert!(
-            m <= crate::contingency::MAX_DENSE_DIMS,
-            "dense table limited to {} dimensions",
-            crate::contingency::MAX_DENSE_DIMS
-        );
-        let items = set.items();
-        let mut supp: Vec<i64> = vec![0; 1 << m];
-        let mut subset: Vec<ItemId> = Vec::with_capacity(m);
-        for mask in 0u32..(1 << m) {
-            subset.clear();
-            subset.extend((0..m).filter(|&j| mask & (1 << j) != 0).map(|j| items[j]));
-            supp[mask as usize] = self.support(&subset) as i64;
-        }
-        for bit in 0..m {
-            for mask in 0..(1u32 << m) {
-                if mask & (1 << bit) == 0 {
-                    supp[mask as usize] -= supp[(mask | (1 << bit)) as usize];
-                }
-            }
-        }
-        let counts: Vec<u64> = supp.into_iter().map(|c| c.max(0) as u64).collect();
-        crate::contingency::ContingencyTable::from_counts(set.clone(), counts)
+    pub fn contingency_table(&self, set: &Itemset) -> ContingencyTable {
+        ContingencyTable::from_subsets(set, |subset| self.support(subset))
     }
 
     /// Exports the baskets appended at epochs `after..=upto` (i.e. with
@@ -491,7 +469,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contingency::ContingencyTable;
 
     fn small_config() -> StoreConfig {
         StoreConfig {

@@ -836,14 +836,22 @@ impl CoordinatorService {
     /// Phase 1 of [`Self::scatter`] for one slot: when it is steady,
     /// checks out its primary's client and writes the request, stamped
     /// as [`Self::shard_request`] would stamp it. `None` leaves the slot
-    /// to the fallback.
+    /// to the fallback, counted under `bmb_cluster_scatter_fallbacks_total`
+    /// with the reason.
     fn send_steady(&self, index: usize, request: &Value) -> Option<(Lease<'_>, Option<RpcSpan>)> {
         let shard = &self.shards[index];
-        let steady = {
+        let unsteady = {
             let health = lock(&shard.health);
-            !health.promoted && health.down_since.is_none()
+            if health.promoted {
+                Some(&self.metrics.fallback_promoted)
+            } else if health.down_since.is_some() {
+                Some(&self.metrics.fallback_marked_down)
+            } else {
+                None
+            }
         };
-        if !steady {
+        if let Some(reason) = unsteady {
+            reason.inc();
             return None;
         }
         let (traced, span) = RpcSpan::open(request).unzip();
@@ -854,6 +862,7 @@ impl CoordinatorService {
         if lease.send(stamped.as_ref().unwrap_or(request)).is_ok() {
             return Some((lease, span));
         }
+        self.metrics.fallback_send_failed.inc();
         if let Some(span) = span {
             self.client_spans.record(span.close(index, "error"));
         }
@@ -862,7 +871,8 @@ impl CoordinatorService {
 
     /// Phase 2 of [`Self::scatter`] for a slot sent in phase 1: reads
     /// the reply, applies the generation check, and checks the client
-    /// back in. `None` leaves the slot to the fallback.
+    /// back in. `None` leaves the slot to the fallback, counted as
+    /// `reason="reply_failed"`.
     fn recv_steady(
         &self,
         index: usize,
@@ -883,7 +893,10 @@ impl CoordinatorService {
             };
             self.client_spans.record(span.close(index, outcome));
         }
-        let value = reply.ok()?;
+        let Ok(value) = reply else {
+            self.metrics.fallback_reply_failed.inc();
+            return None;
+        };
         self.primary_answered(shard);
         Some(value)
     }

@@ -14,6 +14,17 @@ pub struct ClusterMetrics {
     pub scatters: Counter,
     /// Per-shard requests fanned out (scatters × live shards).
     pub fanout: Counter,
+    /// Scatter slots left to the sequential fallback because their
+    /// primary was marked down (`reason="marked_down"`).
+    pub fallback_marked_down: Counter,
+    /// Scatter slots left to the fallback because their follower had
+    /// been promoted (`reason="promoted"`).
+    pub fallback_promoted: Counter,
+    /// Scatter slots whose pipelined send failed (`reason="send_failed"`).
+    pub fallback_send_failed: Counter,
+    /// Scatter slots whose pipelined reply failed or carried a stale
+    /// generation (`reason="reply_failed"`).
+    pub fallback_reply_failed: Counter,
     /// Shard requests that failed at the transport level.
     pub shard_errors: Counter,
     /// Primaries marked down after exhausted retries.
@@ -47,6 +58,13 @@ impl ClusterMetrics {
     /// A fresh registry with every cluster family registered.
     pub fn new() -> ClusterMetrics {
         let registry = Arc::new(Registry::new());
+        let fallback = |reason: &str| {
+            registry.counter_with(
+                "bmb_cluster_scatter_fallbacks_total",
+                "Scatter slots that skipped the pipelined send, by reason.",
+                &[("reason", reason)],
+            )
+        };
         ClusterMetrics {
             scatters: registry.counter(
                 "bmb_cluster_scatters_total",
@@ -56,6 +74,10 @@ impl ClusterMetrics {
                 "bmb_cluster_fanout_requests_total",
                 "Per-shard requests fanned out across all scatters.",
             ),
+            fallback_marked_down: fallback("marked_down"),
+            fallback_promoted: fallback("promoted"),
+            fallback_send_failed: fallback("send_failed"),
+            fallback_reply_failed: fallback("reply_failed"),
             shard_errors: registry.counter(
                 "bmb_cluster_shard_errors_total",
                 "Shard requests that failed at the transport level.",
@@ -133,6 +155,7 @@ mod tests {
         let metrics = ClusterMetrics::new();
         metrics.scatters.inc();
         metrics.fanout.add(4);
+        metrics.fallback_send_failed.inc();
         metrics.replication_lag.set(17);
         let snap = metrics.registry().snapshot();
         assert_eq!(snap.counter_value("bmb_cluster_scatters_total", &[]), 1);
@@ -140,6 +163,11 @@ mod tests {
             snap.counter_value("bmb_cluster_fanout_requests_total", &[]),
             4
         );
+        let fallbacks = |reason| {
+            snap.counter_value("bmb_cluster_scatter_fallbacks_total", &[("reason", reason)])
+        };
+        assert_eq!(fallbacks("send_failed"), 1);
+        assert_eq!(fallbacks("marked_down"), 0);
         assert_eq!(
             snap.gauge_value("bmb_cluster_replication_lag_baskets", &[]),
             17

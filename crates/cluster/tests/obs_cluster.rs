@@ -137,10 +137,22 @@ fn coordinator_trace_tree_spans_coordinator_and_every_shard() {
             .expect("duration_us");
         (start, start + duration)
     };
+    // Why a slot skipped the pipelined send, if one did.
+    let metrics = client
+        .request(&parse(r#"{"cmd":"metrics"}"#).expect("req"))
+        .expect("federated metrics");
+    let fallbacks: Vec<&str> = metrics
+        .get("text")
+        .and_then(Value::as_str)
+        .expect("text payload")
+        .lines()
+        .filter(|line| line.starts_with("bmb_cluster_scatter_fallbacks_total"))
+        .collect();
     let (first, second) = (interval(rpcs[0]), interval(rpcs[1]));
     assert!(
         first.0 < second.1 && second.0 < first.1,
-        "the two rpc:support_vec spans must overlap in time: {tree}"
+        "the two rpc:support_vec spans must overlap in time: {tree}\n\
+         scatter fallbacks: {fallbacks:#?}"
     );
 
     // Each shard recorded its own server span under the rpc that hit it.

@@ -1,14 +1,20 @@
 //! Batch support counting and contingency-table assembly.
 //!
 //! The miner needs, at each level, the support `O(S)` of every candidate.
-//! It intersects the item bitmaps of a [`BitmapIndex`] built once per run,
-//! split across scoped threads. The paper's one pass over the baskets per
-//! level gives the same integers about a hundred times slower
-//! (EXPERIMENTS.md, "Retiring the basket scan"). Full contingency tables
-//! are then assembled *without further passes*: every proper subset of a
-//! candidate was itself counted at a lower level (that is the invariant of
-//! candidate generation), so the `2^m` cell counts follow from stored
-//! subset supports by Möbius inversion.
+//! It intersects the item bitmaps of a [`bmb_basket::BitmapIndex`] built
+//! once per run. A level is split across scoped threads only when every
+//! spawned chunk carries enough work to pay for its spawn
+//! ([`crate::counting::COUNT_WORDS_PER_SPAWN`],
+//! [`crate::counting::EVAL_CELLS_PER_SPAWN`]); smaller levels run on the
+//! calling thread.
+//! The paper's one pass over the baskets per level gives the same
+//! integers about a hundred times slower (EXPERIMENTS.md, "Retiring the
+//! basket scan"). Full contingency tables are then assembled *without
+//! further passes*: every proper subset of a candidate was itself counted
+//! at a lower level (that is the invariant of candidate generation), so
+//! the `2^m` cell counts follow from stored subset supports by the one
+//! Möbius inversion every table assembly shares,
+//! [`bmb_basket::ContingencyTable::from_subset_supports`].
 
 use std::fmt;
 
@@ -69,21 +75,59 @@ impl MarginalSource for Marginals {
     }
 }
 
-/// `(0..n).map(f)`, split into up to `threads` contiguous chunks: the
+/// Word-ANDs (each with its popcount) that one counting chunk must carry
+/// before [`count_with_bitmaps`] spawns a thread for it.
+///
+/// Measured on a 2-vCPU x86-64 VM (release build): the support kernel
+/// costs 0.6–1.2 ns per word-AND as the host's speed varies, and a
+/// scoped spawn plus its join adds 30–75 µs of wall time to a two-way
+/// split of a level over the serial count (16 µs when both threads share
+/// one CPU). 2^17 word-ANDs are 80–160 µs of counting, about twice a
+/// spawn. Only the serial side of this cut is measured end to end (every
+/// mine_quest level runs below it); whether a split above it pays on a
+/// second free core is unverified, so the value is a probe estimate, not
+/// a tuned one.
+pub const COUNT_WORDS_PER_SPAWN: usize = 1 << 17;
+
+/// Table cells that one evaluation chunk must carry before the miner
+/// spawns a thread for it.
+///
+/// Assembling, support-testing and χ²-testing a candidate's `2^m`-cell
+/// table costs 0.08–0.15 µs per cell at levels 2–3 on the VM above, so
+/// 2^10 cells are 80–150 µs of evaluation: the same margin over a spawn
+/// as [`COUNT_WORDS_PER_SPAWN`], and, like it, unverified end to end on
+/// the split side.
+pub const EVAL_CELLS_PER_SPAWN: usize = 1 << 10;
+
+/// How many contiguous chunks [`split_map`] cuts `n` items carrying
+/// `work` units into: at most `threads` and `n`, and few enough that
+/// every chunk carries at least `work_per_spawn` units. One chunk means
+/// no thread is spawned.
+pub(crate) fn chunk_count(n: usize, threads: usize, work: usize, work_per_spawn: usize) -> usize {
+    threads.min(n).min(work / work_per_spawn).max(1)
+}
+
+/// `(0..n).map(f)`, split into [`chunk_count`] contiguous chunks: the
 /// first runs on the calling thread, each other one on a scoped thread,
-/// and the results come back in index order. Fewer than `serial_below`
-/// items run serially. A worker's panic is re-raised in the caller with
-/// its own payload, so the original message and location survive.
-pub(crate) fn split_map<R, F>(n: usize, threads: usize, serial_below: usize, f: F) -> Vec<R>
+/// and the results come back in index order. A worker's panic is
+/// re-raised in the caller with its own payload, so the original message
+/// and location survive.
+pub(crate) fn split_map<R, F>(
+    n: usize,
+    threads: usize,
+    work: usize,
+    work_per_spawn: usize,
+    f: F,
+) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n < serial_below {
+    let chunks = chunk_count(n, threads, work, work_per_spawn);
+    if chunks == 1 {
         return (0..n).map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = n.div_ceil(chunks);
     let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (chunk..n)
@@ -157,11 +201,22 @@ impl SupportStore {
 }
 
 /// Counts `O(S)` for every candidate by bitmap intersection, using up to
-/// `threads` workers.
+/// `threads` workers. An `m`-item candidate costs `m − 1` word-ANDs per
+/// word of the index (one pass for a singleton), and each spawned worker
+/// gets at least [`COUNT_WORDS_PER_SPAWN`] of them.
 pub fn count_with_bitmaps(index: &BitmapIndex, candidates: &[Itemset], threads: usize) -> Vec<u64> {
-    split_map(candidates.len(), threads, 64, |i| {
-        index.support_count(candidates[i].items())
-    })
+    let words = index.n_baskets().div_ceil(64);
+    let passes: usize = candidates
+        .iter()
+        .map(|c| c.len().saturating_sub(1).max(1))
+        .sum();
+    split_map(
+        candidates.len(),
+        threads,
+        passes * words,
+        COUNT_WORDS_PER_SPAWN,
+        |i| index.support_count(candidates[i].items()),
+    )
 }
 
 /// Error from [`try_table_from_supports`]: a proper subset's support was
@@ -216,31 +271,16 @@ pub fn try_table_from_supports<M: MarginalSource>(
     set: &Itemset,
     own_support: u64,
 ) -> Result<ContingencyTable, MissingSupport> {
-    let m = set.len();
-    assert!(
-        (1..=24).contains(&m),
-        "table assembly supports 1..=24 items"
-    );
-    let items = set.items();
-    let full: u32 = if m == 32 { u32::MAX } else { (1u32 << m) - 1 };
-    let mut supp: Vec<u64> = vec![0; 1 << m];
-    // Scratch buffer for subset keys — no per-mask allocation.
-    let mut subset: Vec<bmb_basket::ItemId> = Vec::with_capacity(m);
-    for mask in 0u32..(1 << m) {
-        if mask == full {
-            supp[mask as usize] = own_support;
-            continue;
+    ContingencyTable::try_from_subsets(set, |subset| {
+        if subset.len() == set.len() {
+            return Ok(own_support);
         }
-        subset.clear();
-        subset.extend((0..m).filter(|&j| mask & (1 << j) != 0).map(|j| items[j]));
-        let Some(value) = store.support_of_sorted(marginals, &subset) else {
-            return Err(MissingSupport {
-                subset: subset.clone(),
-            });
-        };
-        supp[mask as usize] = value;
-    }
-    Ok(table_from_subset_supports(set, &supp))
+        store
+            .support_of_sorted(marginals, subset)
+            .ok_or_else(|| MissingSupport {
+                subset: subset.to_vec(),
+            })
+    })
 }
 
 /// Enumerates the `2^m` subsets of `set` in mask order: bit `j` of mask
@@ -286,37 +326,18 @@ pub fn merge_support_vectors(acc: &mut [u64], shard: &[u64]) {
 }
 
 /// Möbius inversion of a complete support vector (in
-/// [`subset_itemsets`] order) into the `2^m` contingency table of
-/// `set`. This is the same inversion [`try_table_from_supports`] and
-/// `Snapshot::contingency_table` run — one shared code path, so a
-/// coordinator that gathers and sums per-shard vectors, then calls
-/// this, reproduces the single-store table bit for bit.
+/// [`subset_itemsets`] order) into the `2^m` contingency table of `set`,
+/// by [`ContingencyTable::from_subset_supports`] — the inversion every
+/// other table assembly runs too, so a coordinator that gathers and sums
+/// per-shard vectors, then calls this, reproduces the single-store table
+/// bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `subset_supports.len() != 2^set.len()` or the set is empty
 /// or larger than 24 items.
 pub fn table_from_subset_supports(set: &Itemset, subset_supports: &[u64]) -> ContingencyTable {
-    let m = set.len();
-    assert!(
-        (1..=24).contains(&m),
-        "table assembly supports 1..=24 items"
-    );
-    assert_eq!(
-        subset_supports.len(),
-        1 << m,
-        "support vector must hold all 2^m subset supports"
-    );
-    let mut supp: Vec<i64> = subset_supports.iter().map(|&v| v as i64).collect();
-    for bit in 0..m {
-        for mask in 0..(1u32 << m) {
-            if mask & (1 << bit) == 0 {
-                supp[mask as usize] -= supp[(mask | (1 << bit)) as usize];
-            }
-        }
-    }
-    let counts: Vec<u64> = supp.into_iter().map(|c| c.max(0) as u64).collect();
-    ContingencyTable::from_counts(set.clone(), counts)
+    ContingencyTable::from_subset_supports(set.clone(), subset_supports.to_vec())
 }
 
 #[cfg(test)]
@@ -351,22 +372,60 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let db = db();
+        // The toy database 512 times over: 64 words per item bitmap, so
+        // 8,192 pairs carry four spawns' worth of word-ANDs.
+        let small = db();
+        let baskets: Vec<Vec<u32>> = (0..512 * small.len())
+            .map(|i| {
+                small
+                    .basket(i % small.len())
+                    .iter()
+                    .map(|id| id.0)
+                    .collect()
+            })
+            .collect();
+        let db = BasketDatabase::from_id_baskets(4, baskets);
         let index = BitmapIndex::build(&db);
-        // Enough candidates to engage the parallel path.
-        let candidates: Vec<Itemset> = (0..200)
+        let candidates: Vec<Itemset> = (0..8_192)
             .map(|i| Itemset::from_ids([i % 4, (i + 1) % 4]))
             .collect();
+        assert_eq!(
+            chunk_count(
+                candidates.len(),
+                4,
+                candidates.len() * 64,
+                COUNT_WORDS_PER_SPAWN
+            ),
+            4
+        );
         let seq = count_with_bitmaps(&index, &candidates, 1);
         let par = count_with_bitmaps(&index, &candidates, 4);
         assert_eq!(seq, par);
     }
 
     #[test]
+    fn a_level_splits_only_when_every_chunk_pays_for_its_spawn() {
+        for per_spawn in [COUNT_WORDS_PER_SPAWN, EVAL_CELLS_PER_SPAWN] {
+            let n = 1_000;
+            // Just below and at two spawns' worth of work.
+            assert_eq!(chunk_count(n, 2, 2 * per_spawn - 1, per_spawn), 1);
+            assert_eq!(chunk_count(n, 2, 2 * per_spawn, per_spawn), 2);
+            // More threads get a chunk only as the work grows.
+            assert_eq!(chunk_count(n, 8, 3 * per_spawn - 1, per_spawn), 2);
+            assert_eq!(chunk_count(n, 8, 3 * per_spawn, per_spawn), 3);
+            assert_eq!(chunk_count(n, 8, 100 * per_spawn, per_spawn), 8);
+            // Never more chunks than items, never fewer than one.
+            assert_eq!(chunk_count(3, 8, 100 * per_spawn, per_spawn), 3);
+            assert_eq!(chunk_count(0, 8, 0, per_spawn), 1);
+            assert_eq!(chunk_count(n, 0, 100 * per_spawn, per_spawn), 1);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "worker saw item 199")]
     fn split_map_reraises_a_workers_own_panic() {
         // Item 199 lies in the last of four chunks, run on a spawned thread.
-        split_map(200, 4, 64, |i| {
+        split_map(200, 4, 4 * 200, 200, |i| {
             if i == 199 {
                 panic!("worker saw item {i}");
             }

@@ -425,28 +425,14 @@ impl QueryEngine {
     /// Assembles `set`'s table from per-segment supports by Möbius
     /// inversion (sealed-segment supports served from cache).
     fn assemble_table(&self, snap: &Snapshot, set: &Itemset) -> ContingencyTable {
-        let m = set.len();
-        let items = set.items();
-        let mut supp: Vec<i64> = vec![0; 1 << m];
-        let mut subset: Vec<ItemId> = Vec::with_capacity(m);
-        for mask in 0u32..(1 << m) {
-            subset.clear();
-            subset.extend((0..m).filter(|&j| mask & (1 << j) != 0).map(|j| items[j]));
-            let mut total: u64 = snap.tail_segment().map_or(0, |tail| tail.support(&subset));
-            for segment in snap.sealed_segments() {
-                total += self.sealed_support(segment, &subset);
-            }
-            supp[mask as usize] = total as i64;
-        }
-        for bit in 0..m {
-            for mask in 0..(1u32 << m) {
-                if mask & (1 << bit) == 0 {
-                    supp[mask as usize] -= supp[(mask | (1 << bit)) as usize];
-                }
-            }
-        }
-        let counts: Vec<u64> = supp.into_iter().map(|c| c.max(0) as u64).collect();
-        ContingencyTable::from_counts(set.clone(), counts)
+        ContingencyTable::from_subsets(set, |subset| {
+            let tail = snap.tail_segment().map_or(0, |tail| tail.support(subset));
+            let sealed = snap.sealed_segments().iter();
+            let sealed: u64 = sealed
+                .map(|segment| self.sealed_support(segment, subset))
+                .sum();
+            tail + sealed
+        })
     }
 
     /// `O(subset)` within one *sealed* segment, via the per-segment cache.
@@ -503,6 +489,60 @@ mod tests {
         ));
         let engine = QueryEngine::new(Arc::clone(&store), EngineConfig::default());
         (store, engine)
+    }
+
+    #[test]
+    fn every_support_path_assembles_the_same_table() {
+        use crate::counting::{
+            subset_itemsets, table_from_subset_supports, try_table_from_supports, SupportStore,
+        };
+        use bmb_basket::BitmapIndex;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
+        let baskets: Vec<Vec<u32>> = (0..700)
+            .map(|_| (0..10u32).filter(|_| rng.gen_bool(0.45)).collect())
+            .collect();
+        // Segments of 64: ten sealed, plus a tail of 60.
+        let store = store_with(&baskets, 64);
+        let engine = QueryEngine::new(Arc::clone(&store), EngineConfig::default());
+        let snap = engine.snapshot();
+        assert!(snap.sealed_segments().len() >= 2 && snap.tail_segment().is_some());
+        let flat = snap.to_database();
+        let index = BitmapIndex::build(&flat);
+        for _ in 0..200 {
+            let mut items: Vec<u32> = (0..10).collect();
+            items.shuffle(&mut rng);
+            let set = Itemset::from_ids(items[..rng.gen_range(1..=5usize)].iter().copied());
+            let scanned = ContingencyTable::from_database(&flat, &set);
+            let supports: Vec<u64> = subset_itemsets(&set)
+                .iter()
+                .map(|subset| index.support_count(subset))
+                .collect();
+            let mut subset_store = SupportStore::new();
+            for subset in subset_itemsets(&set).into_iter().filter(|s| s.len() >= 2) {
+                let support = index.support_count(&subset);
+                subset_store.insert(Itemset::from_sorted(subset), support);
+            }
+            let own = index.support_count(set.items());
+            let paths = [
+                ("bitmap index", ContingencyTable::from_index(&index, &set)),
+                ("snapshot", snap.contingency_table(&set)),
+                ("engine", (*engine.table(&snap, &set).unwrap()).clone()),
+                (
+                    "support vector",
+                    table_from_subset_supports(&set, &supports),
+                ),
+                (
+                    "support store",
+                    try_table_from_supports(&flat, &subset_store, &set, own).unwrap(),
+                ),
+            ];
+            for (path, table) in paths {
+                assert_eq!(table, scanned, "{path} table differs for {set}");
+            }
+        }
     }
 
     #[test]

@@ -18,13 +18,14 @@
 
 use std::time::{Duration, Instant};
 
-use bmb_basket::{BasketDatabase, BitmapIndex, ItemId, Itemset};
+use bmb_basket::{BasketDatabase, BitmapIndex, ContingencyTable, ItemId, Itemset};
 use bmb_lattice::{generate_candidates, Border, ItemsetTable};
-use bmb_stats::Chi2Test;
+use bmb_stats::{Chi2Outcome, Chi2Test};
 
 use crate::config::{Level1Prune, MinerConfig};
 use crate::counting::{
     count_with_bitmaps, split_map, table_from_supports, MarginalSource, SupportStore,
+    EVAL_CELLS_PER_SPAWN,
 };
 use crate::sig::CorrelationRule;
 use crate::stats::{lattice_level_size, LevelStats};
@@ -250,22 +251,31 @@ where
         let emit_start = Instant::now();
         let _emit_span = bmb_obs::trace::span_timed("emit", &obs.stage_emit);
         let mut notsig = ItemsetTable::with_capacity(candidates.len());
-        for ((candidate, supp), verdict) in candidates.iter().zip(&supports).zip(verdicts) {
+        for ((candidate, supp), verdict) in candidates.into_iter().zip(supports).zip(verdicts) {
             match verdict {
                 Verdict::Discarded => stats.discards += 1,
-                Verdict::Significant(rule) => {
+                Verdict::Significant {
+                    chi2,
+                    support_cells,
+                    table,
+                } => {
                     stats.significant += 1;
-                    significant.push(rule);
+                    significant.push(CorrelationRule {
+                        itemset: candidate,
+                        chi2,
+                        table,
+                        support_cells,
+                    });
                 }
                 Verdict::NotSignificant => {
                     stats.not_significant += 1;
-                    notsig.insert(candidate.clone());
                     // Only NOTSIG members can be subsets of future
                     // candidates, so theirs are the only supports worth
                     // retaining — and none at the final level.
                     if !is_last_level {
-                        store.insert(candidate.clone(), *supp);
+                        store.insert(candidate.clone(), supp);
                     }
+                    notsig.insert(candidate);
                 }
             }
         }
@@ -372,18 +382,24 @@ impl MinerObs {
     }
 }
 
-/// Per-candidate outcome of one level's evaluation pass.
+/// Per-candidate outcome of one level's evaluation pass. A significant
+/// candidate's rule is completed in the emit pass, which owns the
+/// candidate and moves it in.
 enum Verdict {
     /// Failed the cell-support test.
     Discarded,
-    /// Supported and correlated — a finished rule.
-    Significant(CorrelationRule),
+    /// Supported and correlated.
+    Significant {
+        chi2: Chi2Outcome,
+        support_cells: usize,
+        table: ContingencyTable,
+    },
     /// Supported but uncorrelated (NOTSIG).
     NotSignificant,
 }
 
-/// Evaluates all candidates of one level, in parallel chunks when
-/// `threads > 1`.
+/// Evaluates all candidates of one level, in parallel chunks of at least
+/// [`EVAL_CELLS_PER_SPAWN`] table cells when `threads > 1`.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_candidates<M: MarginalSource + Sync>(
     marginals: &M,
@@ -395,23 +411,28 @@ fn evaluate_candidates<M: MarginalSource + Sync>(
     chi2_test: &Chi2Test,
     threads: usize,
 ) -> Vec<Verdict> {
-    split_map(candidates.len(), threads, 256, |i| {
-        let candidate = &candidates[i];
-        let table = table_from_supports(marginals, store, candidate, supports[i]);
-        let support = cell_support(&table, s, cells_required);
-        if !support.supported() {
-            return Verdict::Discarded;
-        }
-        match chi2_test.test_dense_if_significant(&table) {
-            Some(outcome) => Verdict::Significant(CorrelationRule {
-                itemset: candidate.clone(),
-                chi2: outcome,
-                support_cells: support.cells_with_support,
-                table,
-            }),
-            None => Verdict::NotSignificant,
-        }
-    })
+    let cells: usize = candidates.iter().map(|c| 1usize << c.len()).sum();
+    split_map(
+        candidates.len(),
+        threads,
+        cells,
+        EVAL_CELLS_PER_SPAWN,
+        |i| {
+            let table = table_from_supports(marginals, store, &candidates[i], supports[i]);
+            let support = cell_support(&table, s, cells_required);
+            if !support.supported() {
+                return Verdict::Discarded;
+            }
+            match chi2_test.test_dense_if_significant(&table) {
+                Some(chi2) => Verdict::Significant {
+                    chi2,
+                    support_cells: support.cells_with_support,
+                    table,
+                },
+                None => Verdict::NotSignificant,
+            }
+        },
+    )
 }
 
 /// Step 3: the initial pair candidates under the chosen level-1 policy,
@@ -427,7 +448,11 @@ fn initial_pairs<M: MarginalSource>(marginals: &M, s: u64, policy: Level1Prune) 
     // Pairs `a` with each of `partners` (sorted) above it.
     let mut pair_up = |a: u32, partners: &[u32]| {
         let above = partners.partition_point(|&b| b <= a);
-        out.extend(partners[above..].iter().map(|&b| Itemset::from_ids([a, b])));
+        out.extend(
+            partners[above..]
+                .iter()
+                .map(|&b| Itemset::from_sorted_slice(&[ItemId(a), ItemId(b)])),
+        );
     };
     match policy {
         Level1Prune::PaperBothFrequent => {

@@ -9,11 +9,11 @@
 //! refers to *lossy* bucket counting à la Park–Chen–Yu, where distinct sets
 //! share a counter; a probing table is exact.)
 
-use bmb_basket::Itemset;
+use bmb_basket::{ItemId, Itemset};
 
 /// FNV-1a over the little-endian bytes of the item ids.
 #[inline]
-fn fnv1a(items: &Itemset) -> u64 {
+fn fnv1a(items: &[ItemId]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -99,12 +99,20 @@ impl ItemsetTable {
 
     /// Membership test.
     pub fn contains(&self, set: &Itemset) -> bool {
+        self.contains_items(set.items())
+    }
+
+    /// Membership test keyed by a strictly sorted item slice, so a caller
+    /// can probe a set it has not allocated as an [`Itemset`]. It hashes
+    /// exactly as [`ItemsetTable::contains`] does.
+    pub fn contains_items(&self, items: &[ItemId]) -> bool {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]));
         let mask = self.slots.len() - 1;
-        let mut idx = (fnv1a(set) as usize) & mask;
+        let mut idx = (fnv1a(items) as usize) & mask;
         loop {
             match &self.slots[idx] {
                 None => return false,
-                Some(existing) if existing == set => return true,
+                Some(existing) if existing.items() == items => return true,
                 Some(_) => idx = (idx + 1) & mask,
             }
         }
@@ -176,6 +184,27 @@ mod tests {
         for s in &sets {
             assert!(t.contains(s), "lost {s} after growth");
         }
+    }
+
+    #[test]
+    fn slice_lookup_agrees_with_itemset_lookup() {
+        let t: ItemsetTable = (0..200u32)
+            .map(|i| Itemset::from_ids([i, i + 3, i + 9]))
+            .collect();
+        for i in 0..220u32 {
+            for probe in [
+                Itemset::from_ids([i, i + 3, i + 9]),
+                Itemset::from_ids([i, i + 4]),
+            ] {
+                assert_eq!(
+                    t.contains_items(probe.items()),
+                    t.contains(&probe),
+                    "{probe}"
+                );
+            }
+        }
+        assert!(t.contains_items(&[ItemId(5), ItemId(8), ItemId(14)]));
+        assert!(!t.contains_items(&[ItemId(5), ItemId(8)]));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! The join is restricted to pairs sharing their first `i−1` items
 //! (prefix join), which enumerates each candidate exactly once.
 
-use bmb_basket::Itemset;
+use bmb_basket::{ItemId, Itemset};
 
 use crate::itemset_table::ItemsetTable;
 
@@ -35,6 +35,10 @@ pub fn generate_candidates(survivors: &ItemsetTable) -> Vec<Itemset> {
     debug_assert!(level >= 1, "candidate generation starts from level 1");
 
     let mut candidates = Vec::new();
+    // The joined set, and one facet of it, built in place: a candidate is
+    // allocated only once all of its facets are found.
+    let mut joined: Vec<ItemId> = Vec::with_capacity(level + 1);
+    let mut facet: Vec<ItemId> = Vec::with_capacity(level);
     // Sorted order groups sets by shared prefix; join within each group.
     let mut group_start = 0;
     while group_start < sorted.len() {
@@ -45,17 +49,28 @@ pub fn generate_candidates(survivors: &ItemsetTable) -> Vec<Itemset> {
         }
         for a in group_start..group_end {
             for b in a + 1..group_end {
-                // Same prefix, different last items: union has size i+1.
-                let candidate = sorted[a].union(sorted[b]);
-                debug_assert_eq!(candidate.len(), level + 1);
-                if all_facets_present(&candidate, survivors) {
-                    candidates.push(candidate);
+                // Same prefix, different last items: the union has size
+                // i+1, and its two facets that drop one of those last
+                // items are `sorted[a]` and `sorted[b]` themselves.
+                joined.clear();
+                joined.extend_from_slice(sorted[a].items());
+                joined.extend(sorted[b].last());
+                let prefix_facets_present = (0..level - 1).all(|skip| {
+                    facet.clear();
+                    facet.extend_from_slice(&joined[..skip]);
+                    facet.extend_from_slice(&joined[skip + 1..]);
+                    survivors.contains_items(&facet)
+                });
+                if prefix_facets_present {
+                    candidates.push(Itemset::from_sorted_slice(&joined));
                 }
             }
         }
         group_start = group_end;
     }
-    candidates.sort_unstable();
+    // Groups come in prefix order and joins in last-item order, so the
+    // candidates are already sorted.
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
     candidates
 }
 
@@ -136,20 +151,22 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..30 {
-            let n_items = 8u32;
-            // Random set of level-2 survivors.
-            let mut survivors = ItemsetTable::new();
-            for a in 0..n_items {
-                for b in a + 1..n_items {
-                    if rng.gen_bool(0.45) {
-                        survivors.insert(Itemset::from_ids([a, b]));
-                    }
-                }
+        let n_items = 8u32;
+        let universe = Itemset::from_ids(0..n_items);
+        for level in [2, 3] {
+            // Dense enough at level 3 that some quadruples survive.
+            let keep = if level == 2 { 0.45 } else { 0.8 };
+            for trial in 0..30 {
+                // Random set of level-`level` survivors.
+                let survivors: ItemsetTable = universe
+                    .subsets_of_size(level)
+                    .into_iter()
+                    .filter(|_| rng.gen_bool(keep))
+                    .collect();
+                let fast = generate_candidates(&survivors);
+                let slow = generate_candidates_naive(&survivors, n_items);
+                assert_eq!(fast, slow, "level {level} trial {trial} diverged");
             }
-            let fast = generate_candidates(&survivors);
-            let slow = generate_candidates_naive(&survivors, n_items);
-            assert_eq!(fast, slow, "trial {trial} diverged");
         }
     }
 

@@ -3,14 +3,24 @@
 //! The chi-squared distribution's CDF is a regularized lower incomplete
 //! gamma function, so everything in [`crate::chi2dist`] rests on this
 //! module: a Lanczos approximation of `ln Γ`, the series expansion of
-//! `P(a, x)` for small `x`, and a modified-Lentz continued fraction of
-//! `Q(a, x)` for large `x`.
+//! `P(a, x)` for small `x`, a modified-Lentz continued fraction of
+//! `Q(a, x)` for large `x`, and Temme's uniform asymptotic expansion for
+//! shapes of 10^8 and more.
 
 /// Relative tolerance for the series / continued-fraction iterations.
 const EPS: f64 = 1e-14;
 /// Iteration cap; generous for small shapes, where convergence is
 /// typically < 100 terms. The series adds `10·√a` for wide shapes.
 const MAX_ITER: usize = 500;
+/// Shape from which [`regularized_gamma_p`], [`regularized_gamma_q`] and
+/// [`ln_regularized_gamma_q`] use Temme's uniform asymptotic expansion
+/// instead of the series and continued fraction.
+/// Those need O(√a) terms, and at a ≈ 10^19 their prefactor
+/// `−x + a·ln x − ln Γ(a)` cancels to NaN in `f64`; the expansion is O(1)
+/// and its first omitted term is of relative order 1/a, below 10^-8 here.
+/// Dense tables (at most 24 items: a < 8.4·10^6 under any df convention)
+/// never reach it, so their p-values are unchanged to the bit.
+const LARGE_SHAPE: f64 = 1e8;
 
 /// Lanczos coefficients for `g = 7`, `n = 9` (Godfrey's values).
 const LANCZOS_G: f64 = 7.0;
@@ -73,6 +83,9 @@ pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
+    if a >= LARGE_SHAPE {
+        return 1.0 - ln_gamma_q_uniform(a, x).exp();
+    }
     if x < a + 1.0 {
         gamma_p_series(a, x)
     } else {
@@ -91,6 +104,9 @@ pub fn regularized_gamma_q(a: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 1.0;
     }
+    if a >= LARGE_SHAPE {
+        return ln_gamma_q_uniform(a, x).exp();
+    }
     if x < a + 1.0 {
         1.0 - gamma_p_series(a, x)
     } else {
@@ -107,11 +123,51 @@ pub fn ln_regularized_gamma_q(a: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
+    if a >= LARGE_SHAPE {
+        return ln_gamma_q_uniform(a, x);
+    }
     if x < a + 1.0 {
         return (1.0 - gamma_p_series(a, x)).ln();
     }
     let h = gamma_q_continued_fraction_raw(a, x);
     -x + a * x.ln() - ln_gamma(a) + h.ln()
+}
+
+/// `ln Q(a, x)` by Temme's uniform asymptotic expansion, to its first
+/// correction term:
+///
+/// `Q(a, x) ≈ ½·erfc(η·√(a/2)) + e^{−aη²/2} / √(2πa) · c₀(η)`,
+///
+/// with `λ = x/a`, `η²/2 = λ − 1 − ln λ`, `η` signed like `λ − 1`, and
+/// `c₀(η) = 1/(λ − 1) − 1/η`. Uniform in `x`: it holds at the mean and in
+/// the far tail alike. Both parts are kept in log form, through
+/// `erfc(|y|) = Q(½, y²)`, so a tail far below `f64`'s range stays finite.
+fn ln_gamma_q_uniform(a: f64, x: f64) -> f64 {
+    // λ − 1, and λ − 1 − ln λ; near λ = 1 the difference cancels, so it
+    // comes from its Taylor series t²/2 − t³/3 + t⁴/4 − t⁵/5 + t⁶/6 there.
+    let t = x / a - 1.0;
+    let near_mean = t.abs() < 1e-3;
+    let half_eta_sq = if near_mean {
+        t * t * (0.5 - t * (1.0 / 3.0 - t * (0.25 - t * (0.2 - t / 6.0))))
+    } else {
+        t - t.ln_1p()
+    };
+    let eta = (2.0 * half_eta_sq).sqrt().copysign(t);
+    let c0 = if near_mean {
+        -1.0 / 3.0 + eta / 12.0 - 2.0 * eta * eta / 135.0
+    } else {
+        1.0 / t - 1.0 / eta
+    };
+    // y = η·√(a/2), so y² = a·η²/2.
+    let y_sq = a * half_eta_sq;
+    let ln_half_erfc = if eta >= 0.0 {
+        ln_regularized_gamma_q(0.5, y_sq) - std::f64::consts::LN_2
+    } else {
+        (1.0 - 0.5 * regularized_gamma_q(0.5, y_sq)).ln()
+    };
+    // The correction term relative to ½·erfc(y).
+    let ratio = (-y_sq - ln_half_erfc).exp() * c0 / (2.0 * std::f64::consts::PI * a).sqrt();
+    ln_half_erfc + ratio.ln_1p()
 }
 
 /// Series expansion: `P(a,x) = e^{−x} x^a / Γ(a) · Σ_k x^k / (a(a+1)...(a+k))`.
@@ -263,17 +319,18 @@ mod tests {
     }
 
     /// `ln_sf` at the saturated df of an m-item table, df = 2^m − m − 1,
-    /// where the shape a = df/2 runs far past the fixed iteration cap.
-    /// References: the normal limit with the one-term Edgeworth skew
-    /// correction `φ(z)·(γ/6)·(z² − 1)`, γ = √(8/df): ln 0.5 at the mean
-    /// (z = 0) once the correction vanishes, ≈ −6.6 at +3σ.
+    /// where the shape a = df/2 runs far past the fixed iteration cap,
+    /// and from m = 28 past [`LARGE_SHAPE`]. References: the normal limit
+    /// with the one-term Edgeworth skew correction `φ(z)·(γ/6)·(z² − 1)`,
+    /// γ = √(8/df): ln 0.5 at the mean (z = 0) once the correction
+    /// vanishes, ≈ −6.6 at +3σ.
     #[test]
     fn chi2_ln_sf_holds_at_wide_saturated_df() {
         const NORMAL_PDF_0: f64 = 0.398_942_280_401_432_7;
         const NORMAL_PDF_3: f64 = 4.431_848_411_938_008e-3;
         const NORMAL_TAIL_3: f64 = 1.349_898_031_630_094_5e-3;
-        for m in [10u32, 14, 17, 20, 24, 30] {
-            let df = ((1u64 << m) - u64::from(m) - 1) as f64;
+        for m in [10i32, 14, 17, 20, 24, 30, 40, 64] {
+            let df = 2f64.powi(m) - f64::from(m) - 1.0;
             let dist = crate::chi2dist::ChiSquared::new(df);
             let skew = (8.0 / df).sqrt();
             let at_mean = dist.ln_sf(df);
@@ -292,6 +349,211 @@ mod tests {
                 (at_3sigma - expected).abs() < 0.03,
                 "m = {m}: ln_sf at +3σ = {at_3sigma}, expected {expected}"
             );
+            // The plain tail and the quantile (which solves the CDF) run
+            // on the same branches: the 95% point sits at the normal z
+            // plus its Cornish–Fisher skew term, (z² − 1)·γ/6.
+            assert!((dist.sf(df).ln() - at_mean).abs() < 1e-9, "m = {m}");
+            const Z_95: f64 = 1.644_853_626_951_472_2;
+            let z = (dist.quantile(0.95) - df) / (2.0 * df).sqrt();
+            let expected = Z_95 + (Z_95 * Z_95 - 1.0) * skew / 6.0;
+            assert!(
+                (z - expected).abs() < 1e-3,
+                "m = {m}: 95% point at z = {z}, expected {expected}"
+            );
+        }
+    }
+
+    /// Dense tables stay below [`LARGE_SHAPE`] under any df convention, so
+    /// their p-values are those of the series and continued fraction, to
+    /// the bit: `ln_sf` at the mean, at +3σ and at 4·df of the saturated
+    /// df of every width m ≤ 24, as computed before the expansion existed.
+    #[test]
+    fn dense_table_p_values_keep_their_bits() {
+        const PINNED: [(i32, u64, u64, u64); 23] = [
+            (
+                2,
+                0xbff25db19d4b92cd,
+                0xc00e84ed37eb2532,
+                0xc008b8656620acce,
+            ),
+            (
+                3,
+                0xbfecd82b0aa5f9d9,
+                0xc0110cf56204f192,
+                0xc017360ac2a97e7b,
+            ),
+            (
+                4,
+                0xbfea08f0c8d67d68,
+                0xc012e2ff7a5f3c42,
+                0xc027aa125a13fafc,
+            ),
+            (
+                5,
+                0xbfe8a237d5c530af,
+                0xc0147e7d9061a396,
+                0xc038512458274339,
+            ),
+            (
+                6,
+                0xbfe7d0f96662e5fe,
+                0xc015d7e78ecb2d4e,
+                0xc048d9c1d6f11e6a,
+            ),
+            (
+                7,
+                0xbfe74c819cbc402b,
+                0xc016f1c84537392a,
+                0xc059395432f84e59,
+            ),
+            (
+                8,
+                0xbfe6f4b560c5b4b2,
+                0xc017d2087d0f9bf8,
+                0xc069771f48dbe8f2,
+            ),
+            (
+                9,
+                0xbfe6b8f43e5edc0a,
+                0xc01880519b949336,
+                0xc0799d28eb2aab01,
+            ),
+            (
+                10,
+                0xbfe68fa62a49cf93,
+                0xc019050298b989b8,
+                0xc089b3cb48b121a0,
+            ),
+            (
+                11,
+                0xbfe672d5b42f8fc6,
+                0xc019684bca459183,
+                0xc099c0eecdcb0382,
+            ),
+            (
+                12,
+                0xbfe65ea00506fa84,
+                0xc019b18ccf79f6db,
+                0xc0a9c86acc73a216,
+            ),
+            (
+                13,
+                0xbfe65067ae65baca,
+                0xc019e7015f832aa7,
+                0xc0b9cc9e3983ee95,
+            ),
+            (
+                14,
+                0xbfe646615baa3a6f,
+                0xc01a0daf98dc6f2b,
+                0xc0c9cef2bdbd8850,
+            ),
+            (
+                15,
+                0xbfe63f4e1c601c08,
+                0xc01a297fc8a7f25c,
+                0xc0d9d03a6d23fe75,
+            ),
+            (
+                16,
+                0xbfe63a4ee3cd2481,
+                0xc01a3d67b5416101,
+                0xc0e9d0ecfd47aaf1,
+            ),
+            (
+                17,
+                0xbfe636c709068141,
+                0xc01a4b9a729c9aa4,
+                0xc0f9d14da210886b,
+            ),
+            (
+                18,
+                0xbfe634483b5d02ac,
+                0xc01a55b493e1c897,
+                0xc109d181a2f32ac0,
+            ),
+            (
+                19,
+                0xbfe63284ad987042,
+                0xc01a5ce158cd2e8e,
+                0xc119d19d7aad012a,
+            ),
+            (
+                20,
+                0xbfe6314573ba9314,
+                0xc01a61f83a711ced,
+                0xc129d1ac5230b9c7,
+            ),
+            (
+                21,
+                0xbfe63063c28e1af3,
+                0xc01a6593904e84ee,
+                0xc139d1b433c6ab63,
+            ),
+            (
+                22,
+                0xbfe62fc4300be154,
+                0xc01a68217eea6138,
+                0xc149d1b85f7bdd9f,
+            ),
+            (
+                23,
+                0xbfe62f535a2103f3,
+                0xc01a69f06a4fb38e,
+                0xc159d1ba92cb9fcf,
+            ),
+            (
+                24,
+                0xbfe62f0396668be3,
+                0xc01a6b3802b338ce,
+                0xc169d1bbbb2e18c2,
+            ),
+        ];
+        for (m, at_mean, at_3sigma, at_4df) in PINNED {
+            let df = 2f64.powi(m) - f64::from(m) - 1.0;
+            assert!(df / 2.0 < LARGE_SHAPE);
+            let dist = crate::chi2dist::ChiSquared::new(df);
+            let got = [
+                dist.ln_sf(df),
+                dist.ln_sf(df + 3.0 * (2.0 * df).sqrt()),
+                dist.ln_sf(4.0 * df),
+            ];
+            assert_eq!(
+                got.map(f64::to_bits),
+                [at_mean, at_3sigma, at_4df],
+                "m = {m}"
+            );
+        }
+    }
+
+    /// Where the series and continued fraction still converge (a of 10^6
+    /// to 10^7), the expansion agrees with them to its O(1/a) error, from
+    /// below the mean to far in the tail.
+    #[test]
+    fn uniform_expansion_matches_the_exact_branches_at_large_shapes() {
+        for a in [1e6f64, 8e6] {
+            let sd = a.sqrt();
+            for x in [
+                a - 4.0 * sd,
+                a - sd,
+                a,
+                a + 0.5,
+                a + sd,
+                a + 5.0 * sd,
+                1.2 * a,
+                2.0 * a,
+            ] {
+                let exact = if x < a + 1.0 {
+                    (1.0 - gamma_p_series(a, x)).ln()
+                } else {
+                    -x + a * x.ln() - ln_gamma(a) + gamma_q_continued_fraction_raw(a, x).ln()
+                };
+                let uniform = ln_gamma_q_uniform(a, x);
+                assert!(
+                    (uniform - exact).abs() <= 1e-5 * (1.0 + exact.abs()),
+                    "a = {a}, x = {x}: uniform {uniform}, exact {exact}"
+                );
+            }
         }
     }
 

@@ -1,17 +1,20 @@
 //! Parallel/serial equivalence: sweeping the worker-thread count must
 //! never change a single count, verdict, or statistic. The bitmap
 //! counting kernel (against a plain per-basket count) and the full miner
-//! are exercised on a seeded 10k-basket Quest database, so the parallel
-//! chunking paths (>256 candidates) engage.
+//! are exercised on a seeded 20k-basket Quest database (313 words per
+//! item bitmap), big enough that a level is really split across threads:
+//! each test first checks that its work reaches two spawns' worth of the
+//! cut-offs `COUNT_WORDS_PER_SPAWN` (word-ANDs) and
+//! `EVAL_CELLS_PER_SPAWN` (table cells).
 
 use beyond_market_baskets::prelude::*;
 use beyond_market_baskets::quest;
 use bmb_basket::{BitmapIndex, ItemId, Itemset};
-use bmb_core::counting::count_with_bitmaps;
+use bmb_core::counting::{count_with_bitmaps, COUNT_WORDS_PER_SPAWN, EVAL_CELLS_PER_SPAWN};
 
 fn seeded_db() -> bmb_basket::BasketDatabase {
     let params = quest::QuestParams {
-        n_transactions: 10_000,
+        n_transactions: 20_000,
         n_items: 90,
         avg_transaction_len: 10.0,
         avg_pattern_len: 4.0,
@@ -22,8 +25,8 @@ fn seeded_db() -> bmb_basket::BasketDatabase {
     quest::generate(&params)
 }
 
-/// Every pair over the item universe: 90·89/2 = 4005 candidates, well
-/// past the sequential-fallback threshold of the counting kernels.
+/// Every pair over the item universe: 90·89/2 = 4005 candidates, about
+/// 1.25M word-ANDs over 20k baskets.
 fn all_pairs(n_items: u32) -> Vec<Itemset> {
     let mut out = Vec::new();
     for a in 0..n_items {
@@ -40,8 +43,8 @@ fn counting_kernels_agree_across_thread_counts() {
     let index = BitmapIndex::build(&db);
     let candidates = all_pairs(db.n_items() as u32);
     assert!(
-        candidates.len() > 256,
-        "need enough candidates to engage parallel chunking"
+        candidates.len() * db.len().div_ceil(64) >= 2 * COUNT_WORDS_PER_SPAWN,
+        "need two spawns' worth of word-ANDs to engage parallel chunking"
     );
 
     // Reference: each candidate tested against every basket, no index.
@@ -73,6 +76,23 @@ fn miner_results_are_thread_count_invariant() {
     };
 
     let baseline = mine(&db, &config(1));
+    // A real split: some level's counting and some level's evaluation
+    // each carry at least two spawns' worth of work.
+    let words = db.len().div_ceil(64);
+    assert!(
+        baseline
+            .levels
+            .iter()
+            .any(|l| l.candidates * words * (l.level - 1) >= 2 * COUNT_WORDS_PER_SPAWN),
+        "no level's counting crosses the split cut-off"
+    );
+    assert!(
+        baseline
+            .levels
+            .iter()
+            .any(|l| l.candidates << l.level >= 2 * EVAL_CELLS_PER_SPAWN),
+        "no level's evaluation crosses the split cut-off"
+    );
     assert!(
         !baseline.significant.is_empty(),
         "seeded database must yield significant sets"
