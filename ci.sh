@@ -13,6 +13,10 @@ cargo clippy --workspace -- -D warnings
 # The criterion ablation benches, which nothing else compiles.
 cargo clippy -q -p bmb-bench --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings)"
+# Broken intra-doc links, and public docs that link private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> bmb-xtask lint"
 # The per-pass line prints finding counts, not how much each pass
 # analyzed, so a clean run alone cannot show a pass went blind. The

@@ -16,7 +16,7 @@
 //!
 //! `Frames` walks a segment's records front to back and stops at the
 //! first one that is not provably intact: a torn frame header, a length
-//! prefix past [`MAX_RECORD_BYTES`], a payload cut short, a CRC
+//! prefix past [`crate::record::MAX_RECORD_BYTES`], a payload cut short, a CRC
 //! mismatch, a fence naming the wrong epoch, or a payload that does not
 //! decode. Recovery replay, WAL shipping and [`inspect_wal_bytes`] all
 //! walk through it, so they agree on where the intact prefix ends; the

@@ -5,7 +5,7 @@
 //! correlation service cannot afford to rebuild the vertical index on every
 //! append. An [`IncrementalStore`] keeps ingested baskets in *sealed*
 //! immutable [`Segment`]s — each carrying its own [`BitmapIndex`] and item
-//! counts — plus a small mutable tail. Readers obtain an [`Arc`]-shared
+//! counts — plus a small mutable tail. Readers obtain an [`std::sync::Arc`]-shared
 //! [`Snapshot`] pinned to an *epoch* (the number of baskets ingested when
 //! the snapshot was taken); snapshots are immutable, so queries never block
 //! ingest and never observe a torn database.
@@ -452,9 +452,10 @@ impl Snapshot {
     }
 
     /// Materializes the snapshot as one flat [`BasketDatabase`] (segment
-    /// order, which is ingest order). This is the bridge to the batch
-    /// pipeline: running the miner over the returned database gives the
-    /// ground truth every snapshot query must match.
+    /// order, which is ingest order). It copies every basket, so no
+    /// serving path calls it: it is the tests' reference, since running
+    /// the batch miner over the returned database gives the ground truth
+    /// every snapshot query must match.
     pub fn to_database(&self) -> BasketDatabase {
         let mut db = BasketDatabase::new(self.n_items);
         for segment in self.segments() {

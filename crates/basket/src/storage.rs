@@ -334,7 +334,7 @@ impl Dir for FsDir {
 /// The shared state behind a [`MemDir`]: the live view of names plus the
 /// *durable* view — what a crash would leave behind. Entry mutations
 /// (create/rename/delete) touch only the live view; [`Dir::sync`]
-/// promotes it wholesale. File contents are [`SharedBytes`] handles
+/// promotes it wholesale. File contents are shared byte handles
 /// shared between both views, so content durability is governed by each
 /// file's own [`Storage`] semantics, exactly like a real filesystem.
 #[derive(Debug, Default)]

@@ -4,7 +4,7 @@
 //! One [`ChaosProxy`] fronts one upstream: clients connect to the
 //! proxy's listen address and their bytes are pumped to the upstream
 //! and back, with faults injected according to a **seeded plan**. Every
-//! accepted connection gets a [`FaultPlan`] derived purely from
+//! accepted connection gets a [`crate::chaos::FaultPlan`] derived purely from
 //! `(seed, connection index)` by a splitmix64 chain — the same seed
 //! always yields the same fault sequence over the same accept order,
 //! which is what makes a failing torture seed replayable.

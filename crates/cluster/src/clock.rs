@@ -1,7 +1,7 @@
 //! An injectable monotonic clock.
 //!
 //! The coordinator's mark-down / probe-cooldown / rejoin logic is all
-//! "how long since" arithmetic on [`Instant`]s. Production uses
+//! "how long since" arithmetic on [`std::time::Instant`]s. Production uses
 //! [`SystemClock`]; tests inject a [`TestClock`] and advance it
 //! explicitly, so endpoint state transitions are exercised without real
 //! sleeps.

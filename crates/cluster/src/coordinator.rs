@@ -60,18 +60,20 @@ use std::time::{Duration, Instant};
 
 use bmb_basket::{ContingencyTable, ItemId, Itemset};
 use bmb_core::{
-    merge_support_vectors, mine_with_counter, subset_itemsets, table_from_subset_supports,
-    Chi2Answer, EngineConfig, EngineError, InterestAnswer, Marginals, MinerConfig, PairCorrelation,
-    SupportSpec, MAX_QUERY_DIMS,
+    check_query_at, check_query_shape, merge_support_vectors, mine_with_counter, rank_pairs,
+    subset_itemsets, table_from_subset_supports, Chi2Answer, EngineConfig, EngineError,
+    InterestAnswer, Marginals,
 };
 use bmb_obs::{Registry, SpanRecord, SpanRing, TraceId, DEFAULT_SPAN_CAPACITY};
 use bmb_serve::json::Value;
-use bmb_serve::protocol::{border_value, chi2_value, interest_value, pair_value, trace_value};
-use bmb_serve::{
-    ClientError, ErrorCategory, Request, RetryClient, RetryPolicy, ServerMetrics, Service,
-    ServiceCtx, ServiceFailure,
+use bmb_serve::protocol::{
+    border_value, chi2_entry_value, chi2_value, interest_value, pair_value, trace_value,
 };
-use bmb_stats::{Chi2Test, InterestReport};
+use bmb_serve::{
+    border_config, support_vec_itemset, ClientError, ErrorCategory, Request, RetryClient,
+    RetryPolicy, ServerMetrics, Service, ServiceCtx, ServiceFailure,
+};
+use bmb_stats::Chi2Test;
 
 use crate::clock::{Clock, SystemClock};
 use crate::metrics::ClusterMetrics;
@@ -903,73 +905,28 @@ impl CoordinatorService {
 
     // ---- central evaluation ----------------------------------------------
 
-    /// Validates an itemset the way a shard engine would, up to the
-    /// checks that need no snapshot (empty, oversized).
-    fn local_validate(&self, set: &Itemset) -> Result<(), EngineError> {
-        if set.is_empty() {
-            return Err(EngineError::EmptyItemset);
-        }
-        if set.len() > MAX_QUERY_DIMS {
-            return Err(EngineError::TooManyItems { len: set.len() });
-        }
-        Ok(())
-    }
-
-    /// The first out-of-range item of `set`, mirroring the engine's
-    /// iteration order, or `None` when all are in range.
-    fn out_of_range(&self, set: &Itemset) -> Option<ItemId> {
+    /// Whether every item of `set` lies inside the item space. Only such
+    /// sets scatter their lattice; the others fail [`check_query_at`].
+    fn in_item_space(&self, set: &Itemset) -> bool {
         set.items()
             .iter()
-            .copied()
-            .find(|item| item.index() >= self.config.n_items)
-    }
-
-    /// Post-scatter validation: the engine reports `EmptySnapshot`
-    /// before `ItemOutOfRange`, so both wait until `n` is known.
-    fn snapshot_validate(&self, set: &Itemset, n: u64) -> Result<(), EngineError> {
-        if n == 0 {
-            return Err(EngineError::EmptySnapshot);
-        }
-        if let Some(item) = self.out_of_range(set) {
-            return Err(EngineError::ItemOutOfRange {
-                item,
-                n_items: self.config.n_items,
-            });
-        }
-        Ok(())
+            .all(|item| item.index() < self.config.n_items)
     }
 
     /// Scatter + merge + Möbius for one itemset; the shared core of
     /// `chi2` and `interest`.
     fn gathered_table(&self, set: &Itemset) -> Result<(ContingencyTable, Gather), ServiceFailure> {
-        self.local_validate(set).map_err(engine_failure)?;
-        // Out-of-range items never reach the shards (their stores would
-        // reject them); scatter an empty vector just to learn n/epochs.
-        let subsets = if self.out_of_range(set).is_none() {
+        check_query_shape(set)?;
+        // An out-of-range set scatters nothing, just to learn n/epochs.
+        let subsets = if self.in_item_space(set) {
             subset_itemsets(set)
         } else {
             Vec::new()
         };
         let gather = self.scatter_supports(&subsets)?;
-        self.snapshot_validate(set, gather.n)
-            .map_err(engine_failure)?;
+        check_query_at(set, gather.n, self.config.n_items)?;
         let table = table_from_subset_supports(set, &gather.supports);
         Ok((table, gather))
-    }
-
-    /// Central chi-squared: identical statistic bits to a single store
-    /// holding all baskets at the same epoch-vector cut.
-    fn central_chi2(&self, items: Vec<u32>) -> Result<(Chi2Answer, Vec<u64>), ServiceFailure> {
-        let set = Itemset::from_ids(items);
-        let (table, gather) = self.gathered_table(&set)?;
-        let full_cell = (1u32 << set.len()) - 1;
-        let answer = Chi2Answer {
-            epoch: gather.epoch_sum(),
-            support: table.observed(full_cell),
-            outcome: self.test.test_dense(&table),
-            itemset: set,
-        };
-        Ok((answer, gather.epochs))
     }
 
     fn dispatch_chi2(
@@ -977,9 +934,11 @@ impl CoordinatorService {
         items: Vec<u32>,
         ctx: &ServiceCtx<'_>,
     ) -> Result<Value, ServiceFailure> {
-        let (answer, epochs) = self.central_chi2(items)?;
+        let set = Itemset::from_ids(items);
+        let (table, gather) = self.gathered_table(&set)?;
+        let answer = Chi2Answer::from_table(set, gather.epoch_sum(), &table, &self.test);
         ctx.metrics.record_served_epoch(answer.epoch);
-        Ok(chi2_value(&answer).with("epochs", epochs_value(&epochs)))
+        Ok(chi2_value(&answer).with("epochs", epochs_value(&gather.epochs)))
     }
 
     fn dispatch_chi2_batch(
@@ -994,14 +953,14 @@ impl CoordinatorService {
             .into_iter()
             .map(|items| {
                 let set = Itemset::from_ids(items);
-                self.local_validate(&set).map(|()| set)
+                check_query_shape(&set).map(|()| set)
             })
             .collect();
         let mut subsets: Vec<Vec<ItemId>> = Vec::new();
         let mut spans: Vec<Option<(usize, usize)>> = Vec::with_capacity(sets.len());
         for set in &sets {
             match set {
-                Ok(set) if self.out_of_range(set).is_none() => {
+                Ok(set) if self.in_item_space(set) => {
                     let lattice = subset_itemsets(set);
                     let start = subsets.len();
                     subsets.extend(lattice);
@@ -1011,17 +970,12 @@ impl CoordinatorService {
             }
         }
         let gather = self.scatter_supports(&subsets)?;
-        if ctx.over_deadline() {
-            return Err(ServiceFailure::deadline(ctx.config.request_deadline));
-        }
+        ctx.check_deadline()?;
         let epoch = gather.epoch_sum();
         ctx.metrics.record_served_epoch(epoch);
         let mut results: Vec<Value> = Vec::with_capacity(sets.len());
         for (set, span) in sets.into_iter().zip(spans) {
-            results.push(match self.batch_entry(set, span, &gather) {
-                Ok(answer) => chi2_value(&answer),
-                Err(e) => Value::object().with("error", Value::Str(e.to_string())),
-            });
+            results.push(chi2_entry_value(&self.batch_entry(set, span, &gather)));
         }
         Ok(Value::object()
             .with("epoch", Value::Int(epoch as i64))
@@ -1037,7 +991,7 @@ impl CoordinatorService {
         gather: &Gather,
     ) -> Result<Chi2Answer, EngineError> {
         let set = set?;
-        self.snapshot_validate(&set, gather.n)?;
+        check_query_at(&set, gather.n, self.config.n_items)?;
         // In-range and validated, so a span exists; an empty slice only
         // arises for out-of-range sets, rejected just above.
         let supports = match span {
@@ -1045,13 +999,8 @@ impl CoordinatorService {
             None => &[],
         };
         let table = table_from_subset_supports(&set, supports);
-        let full_cell = (1u32 << set.len()) - 1;
-        Ok(Chi2Answer {
-            epoch: gather.epoch_sum(),
-            support: table.observed(full_cell),
-            outcome: self.test.test_dense(&table),
-            itemset: set,
-        })
+        let answer = Chi2Answer::from_table(set, gather.epoch_sum(), &table, &self.test);
+        Ok(answer)
     }
 
     fn dispatch_interest(
@@ -1062,30 +1011,14 @@ impl CoordinatorService {
     ) -> Result<Value, ServiceFailure> {
         let set = Itemset::from_ids(items);
         let (table, gather) = self.gathered_table(&set)?;
-        if cell as usize >= table.n_cells() {
-            return Err(engine_failure(EngineError::CellOutOfRange {
-                cell,
-                dims: table.dims(),
-            }));
-        }
-        let epoch = gather.epoch_sum();
-        ctx.metrics.record_served_epoch(epoch);
-        let report = InterestReport::analyze(&table);
-        let info = report.cells()[cell as usize];
-        let answer = InterestAnswer {
-            itemset: set,
-            cell,
-            epoch,
-            observed: info.observed,
-            expected: info.expected,
-            interest: info.interest,
-        };
+        let answer = InterestAnswer::from_table(set, cell, gather.epoch_sum(), &table)?;
+        ctx.metrics.record_served_epoch(answer.epoch);
         Ok(interest_value(&answer).with("epochs", epochs_value(&gather.epochs)))
     }
 
     fn dispatch_topk(&self, k: usize, ctx: &ServiceCtx<'_>) -> Result<Value, ServiceFailure> {
-        // One scatter: all singletons, then all pairs in (a, b) order —
-        // the same enumeration the engine's pair sweep uses.
+        // One scatter: all singletons, then all pairs in the (a, b) order
+        // `rank_pairs` reads them in.
         let n_items = self.config.n_items;
         let mut subsets: Vec<Vec<ItemId>> =
             (0..n_items).map(|item| vec![ItemId(item as u32)]).collect();
@@ -1095,33 +1028,13 @@ impl CoordinatorService {
             }
         }
         let gather = self.scatter_supports(&subsets)?;
-        if gather.n == 0 {
-            return Err(engine_failure(EngineError::EmptySnapshot));
-        }
-        let n = gather.n;
-        let item_counts = &gather.supports[..n_items];
-        let mut rows: Vec<PairCorrelation> = Vec::new();
-        let mut next_pair = n_items;
-        for a in 0..n_items {
-            for b in a + 1..n_items {
-                let set = Itemset::from_ids([a as u32, b as u32]);
-                let s_ab = gather.supports[next_pair];
-                next_pair += 1;
-                let (o_a, o_b) = (item_counts[a], item_counts[b]);
-                // Cell masks: bit0 = a present, bit1 = b present — the
-                // engine's exact construction, on merged integers.
-                let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
-                let table = ContingencyTable::from_counts(set, counts);
-                rows.push(PairCorrelation::from_table(&table, &self.test));
-            }
-        }
-        rows.sort_unstable_by(|x, y| {
-            y.chi2
-                .statistic
-                .total_cmp(&x.chi2.statistic)
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        rows.truncate(k);
+        let (item_counts, pair_supports) = gather.supports.split_at(n_items);
+        // The merged vector holds exactly one support per pair (each
+        // shard's length is checked), so the iterator never runs dry.
+        let mut pair_supports = pair_supports.iter().copied();
+        let rows = rank_pairs(gather.n, item_counts, &self.test, k, |_| {
+            pair_supports.next().unwrap_or(0)
+        })?;
         let epoch = gather.epoch_sum();
         ctx.metrics.record_served_epoch(epoch);
         Ok(Value::object()
@@ -1137,25 +1050,7 @@ impl CoordinatorService {
         max_level: Option<usize>,
         ctx: &ServiceCtx<'_>,
     ) -> Result<Value, ServiceFailure> {
-        // Argument validation mirrors the standalone server verbatim.
-        let support = support.unwrap_or(0.01);
-        if !(0.0..=1.0).contains(&support) {
-            return Err(ServiceFailure::other(format!(
-                "'support' must be in [0,1], got {support}"
-            )));
-        }
-        let fraction = support_fraction.unwrap_or(0.3);
-        if !(fraction > 0.25 && fraction <= 1.0) {
-            return Err(ServiceFailure::other(format!(
-                "'support_fraction' must be in (0.25,1], got {fraction}"
-            )));
-        }
-        let config = MinerConfig {
-            support: SupportSpec::Fraction(support),
-            support_fraction: fraction,
-            max_level: max_level.unwrap_or(usize::MAX),
-            ..MinerConfig::default()
-        };
+        let config = border_config(support, support_fraction, max_level)?;
         // Marginals from a singleton scatter; the level-wise miner then
         // counts each candidate level with one scatter per level. The
         // epoch vector must hold still across every scatter, or the
@@ -1166,9 +1061,9 @@ impl CoordinatorService {
             .collect();
         let first = self.scatter_supports(&singletons)?;
         if first.n == 0 {
-            return Err(engine_failure(EngineError::EmptySnapshot));
+            return Err(EngineError::EmptySnapshot.into());
         }
-        let epochs = first.epochs.clone();
+        let epochs = first.epochs;
         let marginals = Marginals {
             n_baskets: first.n,
             item_counts: first.supports,
@@ -1182,9 +1077,7 @@ impl CoordinatorService {
                     "snapshot moved during border evaluation (concurrent ingest); retry",
                 ));
             }
-            if ctx.over_deadline() {
-                return Err(ServiceFailure::deadline(ctx.config.request_deadline));
-            }
+            ctx.check_deadline()?;
             Ok(level.supports)
         };
         let result = mine_with_counter(&marginals, count, &config)?;
@@ -1481,15 +1374,9 @@ impl CoordinatorService {
         itemsets: Vec<Vec<u32>>,
         ctx: &ServiceCtx<'_>,
     ) -> Result<Value, ServiceFailure> {
-        let n_items = self.config.n_items;
         let mut subsets: Vec<Vec<ItemId>> = Vec::with_capacity(itemsets.len());
         for items in &itemsets {
-            if let Some(&bad) = items.iter().find(|&&id| id as usize >= n_items) {
-                return Err(ServiceFailure::other(format!(
-                    "item id {bad} out of range (store has {n_items} items)"
-                )));
-            }
-            let set = Itemset::from_ids(items.iter().copied());
+            let set = support_vec_itemset(items, self.config.n_items)?;
             subsets.push(set.items().to_vec());
         }
         let gather = self.scatter_supports(&subsets)?;
@@ -1598,11 +1485,6 @@ fn parse_support_answer(value: &Value, expected: usize) -> Result<ShardAnswer, S
 
 fn malformed(what: &str) -> ServiceFailure {
     ServiceFailure::io(format!("malformed shard support_vec response: {what}"))
-}
-
-/// An engine-shaped error, with the standalone server's exact message.
-fn engine_failure(error: EngineError) -> ServiceFailure {
-    ServiceFailure::other(error.to_string())
 }
 
 /// Decodes a remote node's `trace` response back into span records

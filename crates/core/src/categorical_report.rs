@@ -3,9 +3,10 @@
 //! Section 5.1: "Since the chi-squared test extends easily to non-binary
 //! data, we can analyze correlations between multiple-choice answers such
 //! as those found in census forms." This module runs the Table 2 style
-//! pairwise sweep over a [`CategoricalData`] table: χ² with the Appendix A
-//! degrees of freedom `Π(uᵢ−1)`, Cramér's V as the size-free effect
-//! measure, and per-cell interest to locate the dependence.
+//! pairwise sweep over a [`bmb_basket::categorical::CategoricalData`]
+//! table: χ² with the Appendix A degrees of freedom `Π(uᵢ−1)`, Cramér's V
+//! as the size-free effect measure, and per-cell interest to locate the
+//! dependence.
 
 use bmb_basket::categorical::{CategoricalData, CategoricalTable};
 use bmb_stats::{cramers_v_categorical, Chi2Outcome, Chi2Test};

@@ -1,17 +1,24 @@
-//! The online correlation-query engine behind `bmb-serve`.
+//! The online correlation-query engine behind `bmb-serve`, and the query
+//! core it shares with the cluster coordinator.
 //!
 //! A [`QueryEngine`] answers chi-squared / interest / top-k / border
-//! queries against epoch-pinned [`Snapshot`]s of an [`IncrementalStore`],
-//! with two capacity-bounded caches:
+//! queries against epoch-pinned [`bmb_basket::Snapshot`]s of an
+//! [`bmb_basket::IncrementalStore`], with two capacity-bounded caches:
 //!
 //! * a **table cache** keyed by `(itemset, epoch)` — a full assembled
-//!   [`ContingencyTable`]; entries for stale epochs simply stop being hit
-//!   and age out of the LRU;
+//!   [`bmb_basket::ContingencyTable`]; entries for stale epochs simply
+//!   stop being hit and age out of the LRU;
 //! * a **segment-support cache** keyed by `(segment id, itemset)` —
 //!   per-sealed-segment supports. Sealed segments are immutable, so these
 //!   entries stay valid across ingest: after an append only the (small)
 //!   tail contribution is recomputed, which is the "invalidated
 //!   per-segment" behaviour a mostly-append workload wants.
+//!
+//! The cluster coordinator answers through the same functions
+//! ([`check_query_shape`], [`check_query_at`], [`Chi2Answer::from_table`],
+//! [`InterestAnswer::from_table`], [`rank_pairs`], and
+//! [`crate::mine_with_counter`] for `border`); only its supports come from
+//! elsewhere: the sum of the shards' `support_vec` answers.
 //!
 //! Every answer is bit-identical to the batch pipeline on the same epoch:
 //! snapshot supports are exact sums over a partition of the baskets, and
@@ -24,8 +31,9 @@ use bmb_obs::{Counter, Registry};
 use bmb_stats::{Chi2Outcome, Chi2Test, DfConvention, InterestReport};
 
 use crate::config::MinerConfig;
+use crate::counting::{count_with_bitmaps, merge_support_vectors, Marginals};
 use crate::lru::LruCache;
-use crate::miner::{mine, MiningResult};
+use crate::miner::{mine_with_counter, MiningResult};
 use crate::report::PairCorrelation;
 
 /// Largest itemset a point query may name; bounds the `2^m` table work a
@@ -172,6 +180,127 @@ pub struct InterestAnswer {
     pub interest: f64,
 }
 
+impl Chi2Answer {
+    /// The answer for `itemset` at `epoch` from its full table.
+    pub fn from_table(
+        itemset: Itemset,
+        epoch: u64,
+        table: &ContingencyTable,
+        test: &Chi2Test,
+    ) -> Chi2Answer {
+        let full_cell = (1u32 << itemset.len()) - 1;
+        Chi2Answer {
+            support: table.observed(full_cell),
+            outcome: test.test_dense(table),
+            itemset,
+            epoch,
+        }
+    }
+}
+
+impl InterestAnswer {
+    /// The interest of `cell` in `itemset`'s full table at `epoch`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::CellOutOfRange`] when the table has no such cell.
+    pub fn from_table(
+        itemset: Itemset,
+        cell: u32,
+        epoch: u64,
+        table: &ContingencyTable,
+    ) -> Result<InterestAnswer, EngineError> {
+        if cell as usize >= table.n_cells() {
+            return Err(EngineError::CellOutOfRange {
+                cell,
+                dims: table.dims(),
+            });
+        }
+        let info = InterestReport::analyze(table).cells()[cell as usize];
+        Ok(InterestAnswer {
+            itemset,
+            cell,
+            epoch,
+            observed: info.observed,
+            expected: info.expected,
+            interest: info.interest,
+        })
+    }
+}
+
+/// The checks a point query passes before any support is read: at least
+/// one item, and at most [`MAX_QUERY_DIMS`].
+///
+/// # Errors
+///
+/// [`EngineError::EmptyItemset`] or [`EngineError::TooManyItems`].
+pub fn check_query_shape(set: &Itemset) -> Result<(), EngineError> {
+    if set.is_empty() {
+        return Err(EngineError::EmptyItemset);
+    }
+    if set.len() > MAX_QUERY_DIMS {
+        return Err(EngineError::TooManyItems { len: set.len() });
+    }
+    Ok(())
+}
+
+/// The checks a well-shaped query passes against the data answering it:
+/// `n_baskets` non-zero, then every item inside the `n_items`-item space.
+///
+/// # Errors
+///
+/// [`EngineError::EmptySnapshot`], else [`EngineError::ItemOutOfRange`]
+/// for the first item outside the space.
+pub fn check_query_at(set: &Itemset, n_baskets: u64, n_items: usize) -> Result<(), EngineError> {
+    if n_baskets == 0 {
+        return Err(EngineError::EmptySnapshot);
+    }
+    match set.items().iter().find(|item| item.index() >= n_items) {
+        Some(&item) => Err(EngineError::ItemOutOfRange { item, n_items }),
+        None => Ok(()),
+    }
+}
+
+/// The `k` item pairs with the largest χ² statistic (descending, ties in
+/// `(a, b)` order), over `n` baskets with `item_counts[i]` = `O(i)`;
+/// `pair_support` gives `O(ab)`, called once per pair in `(a, b)` order.
+///
+/// # Errors
+///
+/// [`EngineError::EmptySnapshot`] when `n` is 0.
+pub fn rank_pairs(
+    n: u64,
+    item_counts: &[u64],
+    test: &Chi2Test,
+    k: usize,
+    mut pair_support: impl FnMut(&Itemset) -> u64,
+) -> Result<Vec<PairCorrelation>, EngineError> {
+    if n == 0 {
+        return Err(EngineError::EmptySnapshot);
+    }
+    let n_items = item_counts.len();
+    let mut rows: Vec<PairCorrelation> = Vec::new();
+    for a in 0..n_items {
+        for b in a + 1..n_items {
+            let set = Itemset::from_ids([a as u32, b as u32]);
+            let s_ab = pair_support(&set);
+            let (o_a, o_b) = (item_counts[a], item_counts[b]);
+            // Cell masks: bit0 = a present, bit1 = b present.
+            let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
+            let table = ContingencyTable::from_counts(set, counts);
+            rows.push(PairCorrelation::from_table(&table, test));
+        }
+    }
+    rows.sort_unstable_by(|x, y| {
+        y.chi2
+            .statistic
+            .total_cmp(&x.chi2.statistic)
+            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+    });
+    rows.truncate(k);
+    Ok(rows)
+}
+
 /// The online query engine; all methods take `&self` and are safe to call
 /// from many server threads at once.
 pub struct QueryEngine {
@@ -263,7 +392,8 @@ impl QueryEngine {
         snap: &Snapshot,
         set: &Itemset,
     ) -> Result<Arc<ContingencyTable>, EngineError> {
-        self.validate(snap, set)?;
+        check_query_shape(set)?;
+        check_query_at(set, snap.n_baskets() as u64, snap.n_items())?;
         let key = (set.clone(), snap.epoch());
         if let Some(table) = lock(&self.tables).get(&key) {
             self.table_hits.inc();
@@ -284,23 +414,8 @@ impl QueryEngine {
     /// Same conditions as [`QueryEngine::table`].
     pub fn chi2(&self, snap: &Snapshot, set: &Itemset) -> Result<Chi2Answer, EngineError> {
         let table = self.table(snap, set)?;
-        let full_cell = (1u32 << set.len()) - 1;
-        Ok(Chi2Answer {
-            itemset: set.clone(),
-            epoch: snap.epoch(),
-            support: table.observed(full_cell),
-            outcome: self.test.test_dense(&table),
-        })
-    }
-
-    /// Batched point chi-squared lookups over one pinned snapshot: every
-    /// answer refers to the same epoch.
-    pub fn chi2_batch(
-        &self,
-        snap: &Snapshot,
-        sets: &[Itemset],
-    ) -> Vec<Result<Chi2Answer, EngineError>> {
-        sets.iter().map(|set| self.chi2(snap, set)).collect()
+        let answer = Chi2Answer::from_table(set.clone(), snap.epoch(), &table, &self.test);
+        Ok(answer)
     }
 
     /// Interest `I(r) = O(r)/E[r]` of one cell of `set`'s table.
@@ -316,28 +431,12 @@ impl QueryEngine {
         cell: u32,
     ) -> Result<InterestAnswer, EngineError> {
         let table = self.table(snap, set)?;
-        if cell as usize >= table.n_cells() {
-            return Err(EngineError::CellOutOfRange {
-                cell,
-                dims: table.dims(),
-            });
-        }
-        let report = InterestReport::analyze(&table);
-        let info = report.cells()[cell as usize];
-        Ok(InterestAnswer {
-            itemset: set.clone(),
-            cell,
-            epoch: snap.epoch(),
-            observed: info.observed,
-            expected: info.expected,
-            interest: info.interest,
-        })
+        InterestAnswer::from_table(set.clone(), cell, snap.epoch(), &table)
     }
 
-    /// The `k` most correlated item *pairs* at `snap`'s epoch, ranked by
-    /// chi-squared statistic (descending). Pair tables are derived from
-    /// marginals plus one pair support each, bypassing the caches so a
-    /// sweep cannot evict hot point-query entries.
+    /// The `k` most correlated item *pairs* at `snap`'s epoch, by
+    /// [`rank_pairs`]. Pair supports bypass the caches, so a sweep cannot
+    /// evict hot point-query entries.
     ///
     /// # Errors
     ///
@@ -347,40 +446,17 @@ impl QueryEngine {
         snap: &Snapshot,
         k: usize,
     ) -> Result<Vec<PairCorrelation>, EngineError> {
-        if snap.is_empty() {
-            return Err(EngineError::EmptySnapshot);
-        }
-        let n_items = snap.n_items();
-        let n = snap.n_baskets() as u64;
-        let item_counts: Vec<u64> = (0..n_items)
-            .map(|i| snap.item_count(ItemId(i as u32)))
-            .collect();
-        let mut rows: Vec<PairCorrelation> = Vec::new();
-        for a in 0..n_items {
-            for b in a + 1..n_items {
-                let set = Itemset::from_ids([a as u32, b as u32]);
-                let s_ab = snap.support(set.items());
-                let (o_a, o_b) = (item_counts[a], item_counts[b]);
-                // Cell masks: bit0 = a present, bit1 = b present.
-                let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
-                let table = ContingencyTable::from_counts(set, counts);
-                rows.push(PairCorrelation::from_table(&table, &self.test));
-            }
-        }
-        rows.sort_unstable_by(|x, y| {
-            y.chi2
-                .statistic
-                .total_cmp(&x.chi2.statistic)
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        rows.truncate(k);
-        Ok(rows)
+        let marginals = snapshot_marginals(snap);
+        rank_pairs(
+            marginals.n_baskets,
+            &marginals.item_counts,
+            &self.test,
+            k,
+            |pair| snap.support(pair.items()),
+        )
     }
 
-    /// The border of correlation at `snap`'s epoch: materializes the
-    /// snapshot and runs the batch miner, so the answer is — by
-    /// construction — identical to a batch run over the same baskets.
-    /// This is the service's heavyweight analytical query.
+    /// [`QueryEngine::border_checked`] with no check.
     ///
     /// # Errors
     ///
@@ -394,32 +470,41 @@ impl QueryEngine {
         snap: &Snapshot,
         config: &MinerConfig,
     ) -> Result<MiningResult, EngineError> {
-        if snap.is_empty() {
-            return Err(EngineError::EmptySnapshot);
-        }
-        Ok(mine(&snap.to_database(), config))
+        self.border_checked(snap, config, || Ok(()))
     }
 
-    /// Validates a point query against the snapshot.
-    fn validate(&self, snap: &Snapshot, set: &Itemset) -> Result<(), EngineError> {
-        if set.is_empty() {
-            return Err(EngineError::EmptyItemset);
-        }
-        if set.len() > MAX_QUERY_DIMS {
-            return Err(EngineError::TooManyItems { len: set.len() });
-        }
+    /// The border of correlation at `snap`'s epoch, by
+    /// [`mine_with_counter`]: each level is counted on every segment's own
+    /// bitmap index, bypassing the segment-support cache, and summed.
+    /// `check` runs after each level's count; its first error ends the mine.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::EmptySnapshot`] when nothing was ingested, or the
+    /// first error of `check`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`MinerConfig::validate`]).
+    pub fn border_checked<E: From<EngineError>>(
+        &self,
+        snap: &Snapshot,
+        config: &MinerConfig,
+        mut check: impl FnMut() -> Result<(), E>,
+    ) -> Result<MiningResult, E> {
         if snap.is_empty() {
-            return Err(EngineError::EmptySnapshot);
+            return Err(EngineError::EmptySnapshot.into());
         }
-        for &item in set.items() {
-            if item.index() >= snap.n_items() {
-                return Err(EngineError::ItemOutOfRange {
-                    item,
-                    n_items: snap.n_items(),
-                });
+        let count = |candidates: &[Itemset]| {
+            let mut supports = vec![0; candidates.len()];
+            for segment in snap.segments() {
+                let counted = count_with_bitmaps(segment.index(), candidates, config.threads);
+                merge_support_vectors(&mut supports, &counted);
             }
-        }
-        Ok(())
+            check()?;
+            Ok(supports)
+        };
+        mine_with_counter(&snapshot_marginals(snap), count, config)
     }
 
     /// Assembles `set`'s table from per-segment supports by Möbius
@@ -456,6 +541,16 @@ impl QueryEngine {
                 support
             }
         }
+    }
+}
+
+/// `n` and every item's count at `snap`'s epoch.
+fn snapshot_marginals(snap: &Snapshot) -> Marginals {
+    Marginals {
+        n_baskets: snap.n_baskets() as u64,
+        item_counts: (0..snap.n_items())
+            .map(|i| snap.item_count(ItemId(i as u32)))
+            .collect(),
     }
 }
 
@@ -642,26 +737,123 @@ mod tests {
 
     #[test]
     fn border_matches_batch_miner() {
+        let parity = bmb_datasets::parity_triple(400, 4);
+        let planted = bmb_datasets::planted_pair(600, 6, 0.4, 0.8, 11);
+        // Segment capacities giving one sealed segment only, many sealed
+        // segments plus a tail, and a tail only.
+        let cases = [
+            ("parity_triple", &parity, 400, (1, false)),
+            ("parity_triple", &parity, 64, (6, true)),
+            ("parity_triple", &parity, 1024, (0, true)),
+            ("planted_pair", &planted, 600, (1, false)),
+            ("planted_pair", &planted, 64, (9, true)),
+            ("planted_pair", &planted, 1024, (0, true)),
+        ];
+        for (name, db, segment_capacity, (sealed, tail)) in cases {
+            let store = Arc::new(IncrementalStore::from_database(
+                db,
+                StoreConfig { segment_capacity },
+            ));
+            let engine = QueryEngine::new(Arc::clone(&store), EngineConfig::default());
+            let snap = engine.snapshot();
+            assert_eq!(
+                snap.sealed_segments().len(),
+                sealed,
+                "{name}/{segment_capacity}"
+            );
+            assert_eq!(
+                snap.tail_segment().is_some(),
+                tail,
+                "{name}/{segment_capacity}"
+            );
+            for threads in [1, 2] {
+                let case = format!("{name}, capacity {segment_capacity}, {threads} threads");
+                let config = MinerConfig {
+                    support: crate::config::SupportSpec::Count(5),
+                    support_fraction: 0.26,
+                    threads,
+                    ..MinerConfig::default()
+                };
+                let online = engine.border(&snap, &config).unwrap();
+                let batch = crate::miner::mine(db, &config);
+                assert!(!batch.significant.is_empty(), "{case}: empty border");
+                assert_eq!(online.significant.len(), batch.significant.len(), "{case}");
+                for (got, want) in online.significant.iter().zip(&batch.significant) {
+                    assert_eq!(got.itemset, want.itemset, "{case}");
+                    assert_eq!(
+                        got.chi2.statistic.to_bits(),
+                        want.chi2.statistic.to_bits(),
+                        "{case}: {}",
+                        want.itemset
+                    );
+                    assert_eq!(got.table, want.table, "{case}: {}", want.itemset);
+                    assert_eq!(got.support_cells, want.support_cells, "{case}");
+                }
+                assert_eq!(online.levels, batch.levels, "{case}");
+                assert_eq!(online.support_count, batch.support_count, "{case}");
+                assert_eq!(
+                    online.chi2_cutoff.to_bits(),
+                    batch.chi2_cutoff.to_bits(),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    /// `check` runs once after each level's count. One that fails after
+    /// level 2 ends the mine before level 3 is counted.
+    #[test]
+    fn border_stops_at_the_first_failed_check() {
+        #[derive(Debug, PartialEq)]
+        enum Stop {
+            Deadline,
+            Engine(EngineError),
+        }
+        impl From<EngineError> for Stop {
+            fn from(error: EngineError) -> Stop {
+                Stop::Engine(error)
+            }
+        }
         let db = bmb_datasets::parity_triple(400, 4);
-        let store = Arc::new(IncrementalStore::from_database(
+        let store = IncrementalStore::from_database(
             &db,
             StoreConfig {
-                segment_capacity: 128,
+                segment_capacity: 64,
             },
-        ));
-        let engine = QueryEngine::new(Arc::clone(&store), EngineConfig::default());
+        );
+        let engine = QueryEngine::new(Arc::new(store), EngineConfig::default());
+        let snap = engine.snapshot();
         let config = MinerConfig {
             support: crate::config::SupportSpec::Count(5),
             support_fraction: 0.26,
             ..MinerConfig::default()
         };
-        let snap = engine.snapshot();
-        let online = engine.border(&snap, &config).unwrap();
-        let batch = mine(&db, &config);
-        let online_sets: Vec<&Itemset> = online.significant.iter().map(|r| &r.itemset).collect();
-        let batch_sets: Vec<&Itemset> = batch.significant.iter().map(|r| &r.itemset).collect();
-        assert_eq!(online_sets, batch_sets);
-        assert_eq!(online.levels, batch.levels);
+        let mut checks = 0;
+        let passing = engine.border_checked(&snap, &config, || {
+            checks += 1;
+            Ok::<(), Stop>(())
+        });
+        assert_eq!(passing.unwrap().levels.len(), 2, "levels 2 and 3 counted");
+        assert_eq!(checks, 2);
+        let mut checks = 0;
+        let stopped = engine.border_checked(&snap, &config, || {
+            checks += 1;
+            Err(Stop::Deadline)
+        });
+        assert_eq!(stopped.unwrap_err(), Stop::Deadline);
+        assert_eq!(checks, 1, "only level 2 was counted");
+        // An empty snapshot fails before anything is counted or checked.
+        let empty = QueryEngine::new(
+            Arc::new(IncrementalStore::new(4, StoreConfig::default())),
+            EngineConfig::default(),
+        );
+        let stopped = empty.border_checked(&empty.snapshot(), &config, || -> Result<(), Stop> {
+            unreachable!("checked an empty snapshot")
+        });
+        assert_eq!(
+            stopped.unwrap_err(),
+            Stop::Engine(EngineError::EmptySnapshot)
+        );
     }
 
     #[test]

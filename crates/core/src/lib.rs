@@ -72,7 +72,8 @@ pub use counting::{
     merge_support_vectors, subset_itemsets, table_from_subset_supports, MarginalSource, Marginals,
 };
 pub use engine::{
-    CacheStats, Chi2Answer, EngineConfig, EngineError, InterestAnswer, QueryEngine, MAX_QUERY_DIMS,
+    check_query_at, check_query_shape, rank_pairs, CacheStats, Chi2Answer, EngineConfig,
+    EngineError, InterestAnswer, QueryEngine, MAX_QUERY_DIMS,
 };
 pub use locality::{locality_test, mine_locality, LocalityReport};
 pub use miner::{mine, mine_with_counter, LevelProfile, MinerProfile, MiningResult};

@@ -4,9 +4,10 @@
 //! lattice as the companion to the level-wise algorithm, particularly for
 //! pruning criteria that are not downward closed (like the chi-squared
 //! ceiling). This module wires `bmb_lattice::walk` to the chi-squared
-//! property, serving contingency tables from a [`CountCube`] when the item
-//! space is small ("the random walk algorithm has a natural implementation
-//! in terms of a datacube") and from direct database scans otherwise.
+//! property, serving contingency tables from a [`bmb_lattice::CountCube`]
+//! when the item space is small ("the random walk algorithm has a natural
+//! implementation in terms of a datacube") and from direct database scans
+//! otherwise.
 
 use bmb_basket::{BasketDatabase, ContingencyTable, Itemset};
 use bmb_lattice::{random_walk_border, CountCube, WalkConfig, WalkOutcome, MAX_CUBE_DIMS};

@@ -1,8 +1,9 @@
 //! The census microdata simulator (substitute for the paper's 1990 census
 //! extract).
 //!
-//! Pipeline: the published pairwise supports ([`targets`]) feed an IPF fit
-//! ([`ipf`]) of the full 2^10 joint distribution; [`generate`] materializes
+//! Pipeline: the published pairwise supports
+//! ([`crate::census::targets`]) feed an IPF fit ([`crate::census::ipf`]) of
+//! the full 2^10 joint distribution; [`crate::census::generate`] materializes
 //! it as exactly n = 30,370 baskets by largest-remainder rounding. All 45
 //! pairwise contingency tables of the result match the paper's within
 //! rounding, so Tables 2 and 3 and Examples 4–5 reproduce faithfully.

@@ -3,7 +3,7 @@
 //! * A [`TraceId`] names one logical request end to end. The serving
 //!   layer allocates one per request from a per-server counter
 //!   (deterministic for golden tests) and echoes it in the response;
-//!   [`set_current_trace`] propagates it onto the worker thread so
+//!   [`crate::trace::set_current_trace`] propagates it onto the worker thread so
 //!   events emitted downstream carry it automatically.
 //! * A [`Span`] is an RAII guard that pushes its name onto a
 //!   per-thread span stack on creation and pops it on drop, optionally

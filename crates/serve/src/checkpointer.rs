@@ -1,6 +1,6 @@
 //! The background checkpointer thread.
 //!
-//! A [`Checkpointer`] watches a [`DurableStore`] opened in directory
+//! A [`Checkpointer`] watches a [`bmb_basket::wal::DurableStore`] opened in directory
 //! mode and writes checkpoints on two triggers, whichever fires first:
 //!
 //! * **interval** — at most every [`CheckpointerConfig::interval`] of

@@ -6,9 +6,9 @@
 //! keep insertion order and numbers serialize via Rust's shortest-roundtrip
 //! float formatting — so golden-file fixtures are byte-stable.
 //!
-//! Numbers are kept as [`Value::Int`] when they are integral `i64`s and
-//! [`Value::Float`] otherwise; protocol code that expects counts and ids
-//! reads [`Value::as_u64`] and never goes through floating point.
+//! Numbers are kept as [`crate::json::Value::Int`] when they are integral `i64`s and
+//! [`crate::json::Value::Float`] otherwise; protocol code that expects counts and ids
+//! reads [`crate::json::Value::as_u64`] and never goes through floating point.
 
 use std::fmt;
 

@@ -62,6 +62,7 @@ pub use metrics::{ErrorCategory, MetricsSnapshot, ServerMetrics};
 pub use protocol::{parse_request, Envelope, Request, HELLO};
 pub use scrubber::{Scrubber, ScrubberConfig, WirePeer};
 pub use server::{
-    events_value, exposition, scrub_report_value, slow_exemplars_value, EngineService,
-    RunningServer, Server, ServerConfig, Service, ServiceCtx, ServiceFailure, ShutdownHandle,
+    border_config, events_value, exposition, scrub_report_value, slow_exemplars_value,
+    support_vec_itemset, EngineService, RunningServer, Server, ServerConfig, Service, ServiceCtx,
+    ServiceFailure, ShutdownHandle,
 };

@@ -10,7 +10,7 @@
 //! The protocol is versioned by the [`HELLO`] banner the server sends on
 //! connect; golden-file fixtures under `tests/fixtures/` pin the exact
 //! bytes of every response shape. Every line either side sends goes out
-//! through [`write_line`], as one write.
+//! through [`crate::protocol::write_line`], as one write.
 
 use bmb_basket::Itemset;
 use bmb_core::{Chi2Answer, EngineError, InterestAnswer};
@@ -447,6 +447,14 @@ pub fn chi2_value(answer: &Chi2Answer) -> Value {
         .with("ln_p_value", Value::float(answer.outcome.ln_p_value))
 }
 
+/// One `chi2_batch` entry: the answer's fields, or its error message.
+pub fn chi2_entry_value(entry: &Result<Chi2Answer, EngineError>) -> Value {
+    match entry {
+        Ok(answer) => chi2_value(answer),
+        Err(e) => Value::object().with("error", Value::Str(e.to_string())),
+    }
+}
+
 /// The payload fields of one interest answer.
 pub fn interest_value(answer: &InterestAnswer) -> Value {
     Value::object()
@@ -493,11 +501,6 @@ pub fn border_value(result: &MiningResult, epoch: u64) -> Value {
                     .collect(),
             ),
         )
-}
-
-/// Renders an engine error for the wire.
-pub fn engine_error_message(err: &EngineError) -> String {
-    err.to_string()
 }
 
 #[cfg(test)]

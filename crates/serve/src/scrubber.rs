@@ -1,15 +1,15 @@
 //! The background integrity scrubber thread and the wire repair peer.
 //!
-//! A [`Scrubber`] walks a [`DurableStore`]'s at-rest artifacts (sealed
+//! A [`Scrubber`] walks a [`bmb_basket::wal::DurableStore`]'s at-rest artifacts (sealed
 //! WAL segments, checkpoints, the manifest, the generation record) on a
 //! wall-clock interval, re-verifying every checksum via
-//! [`DurableStore::scrub_pass`]. Each wake spends at most
+//! [`bmb_basket::wal::DurableStore::scrub_pass`]. Each wake spends at most
 //! [`ScrubberConfig::max_bytes_per_tick`] of read bandwidth; a pass
 //! larger than the budget carries its resume cursor to the next tick,
 //! so scrubbing never monopolizes the disk the ingest path shares.
 //!
 //! [`WirePeer`] adapts the line protocol to the store's
-//! [`RepairPeer`] trait: a damaged sealed segment is re-fetched from a
+//! [`bmb_basket::scrub::RepairPeer`] trait: a damaged sealed segment is re-fetched from a
 //! replica with generation-stamped `replicate_pull` requests, so a
 //! stale node can never "repair" itself from a newer generation — the
 //! peer fences the fetch and the scrub falls back to its own live

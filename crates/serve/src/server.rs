@@ -37,14 +37,15 @@ use std::time::{Duration, Instant};
 
 use bmb_basket::wal::DurableStore;
 use bmb_basket::{ItemId, Itemset};
-use bmb_core::{MinerConfig, QueryEngine, SupportSpec};
+use bmb_core::{EngineError, MinerConfig, QueryEngine, SupportSpec};
 use bmb_obs::{Registry, RegistrySnapshot, Severity, SpanRecord, TraceId};
 
 use crate::json::Value;
 use crate::metrics::{ErrorCategory, ServerMetrics};
 use crate::protocol::{
-    border_value, chi2_value, error_response, fenced_error_response, interest_value, ok_response,
-    pair_value, parse_request, retryable_error_response, write_line, Request, HELLO,
+    border_value, chi2_entry_value, chi2_value, error_response, fenced_error_response,
+    interest_value, ok_response, pair_value, parse_request, retryable_error_response, write_line,
+    Request, HELLO,
 };
 
 /// Server tuning knobs.
@@ -600,6 +601,13 @@ impl ServiceFailure {
     }
 }
 
+/// A query the engine cannot answer: a permanent failure.
+impl From<EngineError> for ServiceFailure {
+    fn from(error: EngineError) -> ServiceFailure {
+        ServiceFailure::other(error.to_string())
+    }
+}
+
 /// Per-request context a [`Service`] dispatches under: the deadline
 /// anchor and the server's tuning/metrics.
 pub struct ServiceCtx<'a> {
@@ -617,10 +625,61 @@ pub struct ServiceCtx<'a> {
 }
 
 impl ServiceCtx<'_> {
-    /// Whether this request has exceeded its deadline budget.
-    pub fn over_deadline(&self) -> bool {
-        self.start.elapsed() > self.config.request_deadline
+    /// A deadline failure once this request has spent its budget.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceFailure::deadline`] past the deadline.
+    pub fn check_deadline(&self) -> Result<(), ServiceFailure> {
+        if self.start.elapsed() > self.config.request_deadline {
+            return Err(ServiceFailure::deadline(self.config.request_deadline));
+        }
+        Ok(())
     }
+}
+
+/// The miner configuration of a `border` request, with its defaults.
+///
+/// # Errors
+///
+/// A `support` outside `[0,1]` or a `support_fraction` outside `(0.25,1]`.
+pub fn border_config(
+    support: Option<f64>,
+    support_fraction: Option<f64>,
+    max_level: Option<usize>,
+) -> Result<MinerConfig, ServiceFailure> {
+    let support = support.unwrap_or(0.01);
+    if !(0.0..=1.0).contains(&support) {
+        return Err(ServiceFailure::other(format!(
+            "'support' must be in [0,1], got {support}"
+        )));
+    }
+    let fraction = support_fraction.unwrap_or(0.3);
+    if !(fraction > 0.25 && fraction <= 1.0) {
+        return Err(ServiceFailure::other(format!(
+            "'support_fraction' must be in (0.25,1], got {fraction}"
+        )));
+    }
+    Ok(MinerConfig {
+        support: SupportSpec::Fraction(support),
+        support_fraction: fraction,
+        max_level: max_level.unwrap_or(usize::MAX),
+        ..MinerConfig::default()
+    })
+}
+
+/// One `support_vec` entry as an itemset of an `n_items`-item space.
+///
+/// # Errors
+///
+/// The first item id outside the space.
+pub fn support_vec_itemset(items: &[u32], n_items: usize) -> Result<Itemset, ServiceFailure> {
+    if let Some(&bad) = items.iter().find(|&&id| id as usize >= n_items) {
+        return Err(ServiceFailure::other(format!(
+            "item id {bad} out of range (store has {n_items} items)"
+        )));
+    }
+    Ok(Itemset::from_ids(items.iter().copied()))
 }
 
 /// Request dispatch behind the TCP front end. The server owns sockets,
@@ -892,36 +951,26 @@ fn dispatch_engine(
     request: Request,
     ctx: &ServiceCtx<'_>,
 ) -> Result<Value, ServiceFailure> {
-    let start = ctx.start;
     match request {
         Request::Ping => Ok(Value::object().with("pong", Value::Bool(true))),
         Request::Shutdown => Ok(Value::object().with("stopping", Value::Bool(true))),
         Request::Chi2 { items } => {
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let set = Itemset::from_ids(items);
-            let answer = engine
-                .chi2(&snap, &set)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
+            let answer = engine.chi2(&snap, &Itemset::from_ids(items))?;
             Ok(chi2_value(&answer))
         }
         Request::Chi2Batch { itemsets } => {
             // One snapshot for the whole batch: every answer shares an epoch.
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let deadline = ctx.config.request_deadline;
             let mut results: Vec<Value> = Vec::with_capacity(itemsets.len());
             for items in itemsets {
                 // The batch stops (whole-request deadline error) rather
                 // than overrunning its budget item by item.
-                if start.elapsed() > deadline {
-                    return Err(ServiceFailure::deadline(deadline));
-                }
-                let set = Itemset::from_ids(items);
-                results.push(match engine.chi2(&snap, &set) {
-                    Ok(answer) => chi2_value(&answer),
-                    Err(e) => Value::object().with("error", Value::Str(e.to_string())),
-                });
+                ctx.check_deadline()?;
+                let entry = engine.chi2(&snap, &Itemset::from_ids(items));
+                results.push(chi2_entry_value(&entry));
             }
             Ok(Value::object()
                 .with("epoch", Value::Int(snap.epoch() as i64))
@@ -930,18 +979,13 @@ fn dispatch_engine(
         Request::Interest { items, cell } => {
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let set = Itemset::from_ids(items);
-            let answer = engine
-                .interest(&snap, &set, cell)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
+            let answer = engine.interest(&snap, &Itemset::from_ids(items), cell)?;
             Ok(interest_value(&answer))
         }
         Request::TopK { k } => {
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let pairs = engine
-                .topk_pairs(&snap, k)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
+            let pairs = engine.topk_pairs(&snap, k)?;
             Ok(Value::object()
                 .with("epoch", Value::Int(snap.epoch() as i64))
                 .with(
@@ -954,29 +998,10 @@ fn dispatch_engine(
             support_fraction,
             max_level,
         } => {
-            let support = support.unwrap_or(0.01);
-            if !(0.0..=1.0).contains(&support) {
-                return Err(ServiceFailure::other(format!(
-                    "'support' must be in [0,1], got {support}"
-                )));
-            }
-            let fraction = support_fraction.unwrap_or(0.3);
-            if !(fraction > 0.25 && fraction <= 1.0) {
-                return Err(ServiceFailure::other(format!(
-                    "'support_fraction' must be in (0.25,1], got {fraction}"
-                )));
-            }
-            let config = MinerConfig {
-                support: SupportSpec::Fraction(support),
-                support_fraction: fraction,
-                max_level: max_level.unwrap_or(usize::MAX),
-                ..MinerConfig::default()
-            };
+            let config = border_config(support, support_fraction, max_level)?;
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let result = engine
-                .border(&snap, &config)
-                .map_err(|e| ServiceFailure::other(e.to_string()))?;
+            let result = engine.border_checked(&snap, &config, || ctx.check_deadline())?;
             Ok(border_value(&result, snap.epoch()))
         }
         Request::Ingest { baskets } => {
@@ -1092,19 +1117,10 @@ fn dispatch_engine(
             // and epoch-vector consistency depend on.
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let n_items = snap.n_items();
-            let deadline = ctx.config.request_deadline;
             let mut supports: Vec<Value> = Vec::with_capacity(itemsets.len());
             for items in &itemsets {
-                if start.elapsed() > deadline {
-                    return Err(ServiceFailure::deadline(deadline));
-                }
-                if let Some(&bad) = items.iter().find(|&&id| id as usize >= n_items) {
-                    return Err(ServiceFailure::other(format!(
-                        "item id {bad} out of range (store has {n_items} items)"
-                    )));
-                }
-                let set = Itemset::from_ids(items.iter().copied());
+                ctx.check_deadline()?;
+                let set = support_vec_itemset(items, snap.n_items())?;
                 // The empty itemset's "support" is the basket count: the
                 // full-lattice vector a contingency table needs.
                 let support = if set.items().is_empty() {

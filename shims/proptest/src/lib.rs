@@ -1,7 +1,7 @@
 //! Hermetic stand-in for the `proptest` crate.
 //!
 //! The build environment has no crates.io access, so this shim provides
-//! the subset of proptest the workspace tests use: [`Strategy`] with
+//! the subset of proptest the workspace tests use: [`strategy::Strategy`] with
 //! `prop_map` / `prop_flat_map`, range and tuple strategies,
 //! [`collection::vec`], and the [`proptest!`] / [`prop_assert!`] /
 //! [`prop_assert_eq!`] / [`prop_assume!`] macros. Inputs are generated
@@ -158,7 +158,7 @@ pub mod collection {
     use super::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Acceptable size specifications for [`vec`].
+    /// Acceptable size specifications for [`vec()`].
     pub trait IntoSizeRange {
         /// Lower and inclusive upper bound.
         fn bounds(&self) -> (usize, usize);
@@ -190,7 +190,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,
