@@ -5,10 +5,8 @@
 //! support — "if any subset of an (i+1)-itemset does not have support, then
 //! neither can the (i+1)-itemset".
 
-use std::collections::HashMap;
-
-use bmb_basket::{BasketDatabase, ItemId, Itemset};
-use bmb_lattice::{generate_candidates, ItemsetTable};
+use bmb_basket::{BasketDatabase, BitmapIndex, ItemId, Itemset};
+use bmb_lattice::generate_candidates;
 
 /// Minimum support expressed either as an absolute basket count or as a
 /// fraction of the database.
@@ -80,12 +78,13 @@ pub struct AprioriResult {
 }
 
 impl AprioriResult {
-    /// Looks up the support count of an exact itemset, if frequent.
+    /// Looks up the support count of an exact itemset, if frequent: a
+    /// binary search, relying on `frequent`'s (size, lexicographic) order.
     pub fn support_of(&self, set: &Itemset) -> Option<u64> {
         self.frequent
-            .iter()
-            .find(|f| &f.itemset == set)
-            .map(|f| f.count)
+            .binary_search_by(|f| (f.itemset.len(), &f.itemset).cmp(&(set.len(), set)))
+            .ok()
+            .map(|i| self.frequent[i].count)
     }
 
     /// All frequent itemsets of one size.
@@ -99,111 +98,60 @@ impl AprioriResult {
 /// Runs Apriori over `db` with the given minimum support.
 ///
 /// `max_level` caps the itemset size explored (use `usize::MAX` for no cap).
+/// Every candidate's support is one intersection over a bitmap index built
+/// once per run.
 pub fn apriori(db: &BasketDatabase, min_support: MinSupport, max_level: usize) -> AprioriResult {
     let n = db.len() as u64;
     let threshold = min_support.to_count(n).max(1);
     let mut result = AprioriResult::default();
 
-    // Level 1: direct item counts.
-    let mut survivors = ItemsetTable::new();
-    let mut level1: Vec<FrequentItemset> = (0..db.n_items())
-        .map(|i| ItemId(i as u32))
-        .filter(|&i| db.item_count(i) >= threshold)
-        .map(|i| FrequentItemset {
-            itemset: Itemset::singleton(i),
-            count: db.item_count(i),
-        })
-        .collect();
-    level1.sort_unstable_by(|a, b| a.itemset.cmp(&b.itemset));
+    // Level 1: direct item counts, in item (hence lexicographic) order.
+    result.frequent.extend(
+        (0..db.n_items())
+            .map(|i| ItemId(i as u32))
+            .filter(|&i| db.item_count(i) >= threshold)
+            .map(|i| FrequentItemset {
+                itemset: Itemset::singleton(i),
+                count: db.item_count(i),
+            }),
+    );
     result.levels.push(AprioriLevelStats {
         level: 1,
         candidates: db.n_items(),
-        frequent: level1.len(),
+        frequent: result.frequent.len(),
     });
-    for f in &level1 {
-        survivors.insert(f.itemset.clone());
-    }
-    result.frequent.extend(level1);
+    // One level's frequent sets, sorted: the join input and facet probe.
+    let mut survivors: Vec<Itemset> = result.frequent.iter().map(|f| f.itemset.clone()).collect();
 
+    let index = BitmapIndex::build(db);
     let mut level = 1usize;
     while level < max_level && !survivors.is_empty() {
         level += 1;
-        let candidates = generate_candidates(&survivors);
+        let candidates = generate_candidates(&survivors, |items| {
+            survivors.binary_search_by(|s| s.items().cmp(items)).is_ok()
+        });
         if candidates.is_empty() {
             break;
         }
-        let counts = count_candidates(db, &candidates, level);
-        let mut next_survivors = ItemsetTable::with_capacity(candidates.len());
-        let mut frequent_here = 0usize;
-        for candidate in &candidates {
-            let count = counts.get(candidate).copied().unwrap_or(0);
+        let n_candidates = candidates.len();
+        survivors.clear();
+        for candidate in candidates {
+            let count = index.support_count(candidate.items());
             if count >= threshold {
-                frequent_here += 1;
-                next_survivors.insert(candidate.clone());
                 result.frequent.push(FrequentItemset {
                     itemset: candidate.clone(),
                     count,
                 });
+                survivors.push(candidate);
             }
         }
         result.levels.push(AprioriLevelStats {
             level,
-            candidates: candidates.len(),
-            frequent: frequent_here,
+            candidates: n_candidates,
+            frequent: survivors.len(),
         });
-        survivors = next_survivors;
     }
     result
-}
-
-/// Counts all candidates of one size in a single database pass, testing
-/// each size-`level` subset of every basket against the candidate table.
-fn count_candidates(
-    db: &BasketDatabase,
-    candidates: &[Itemset],
-    level: usize,
-) -> HashMap<Itemset, u64> {
-    let lookup: ItemsetTable = candidates.iter().cloned().collect();
-    let mut counts: HashMap<Itemset, u64> = HashMap::with_capacity(candidates.len());
-    for basket in db.baskets() {
-        if basket.len() < level {
-            continue;
-        }
-        // For small baskets enumerate basket subsets; for large baskets it
-        // would be cheaper to test candidates directly, but market baskets
-        // are short in all of the paper's workloads.
-        // Baskets are stored sorted+deduplicated, so skip the re-sort.
-        let basket_set = Itemset::from_sorted_slice(basket);
-        if binom(basket.len(), level) <= candidates.len() as u64 {
-            for subset in basket_set.subsets_of_size(level) {
-                if lookup.contains(&subset) {
-                    *counts.entry(subset).or_insert(0) += 1;
-                }
-            }
-        } else {
-            for candidate in candidates {
-                if candidate.is_subset_of(&basket_set) {
-                    *counts.entry(candidate.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    counts
-}
-
-/// Small binomial coefficient with saturation, for the strategy switch.
-fn binom(n: usize, k: usize) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul((n - i) as u64) / (i as u64 + 1);
-        if acc > 1 << 40 {
-            return u64::MAX;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -314,6 +262,78 @@ mod tests {
         let empty = BasketDatabase::new(3);
         let result = apriori(&empty, MinSupport::Count(1), usize::MAX);
         assert!(result.frequent.is_empty());
+    }
+
+    /// A seeded random database over `k` items: each item joins each
+    /// basket with probability 0.35.
+    fn random_db(seed: u64, k: usize, n: usize) -> BasketDatabase {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let baskets = (0..n)
+            .map(|_| (0..k as u32).filter(|_| rng.gen_bool(0.35)).collect())
+            .collect();
+        BasketDatabase::from_id_baskets(k, baskets)
+    }
+
+    /// Every non-empty itemset over `k` items with its inline per-basket
+    /// count, in (size, lexicographic) order.
+    fn all_counts(db: &BasketDatabase) -> Vec<(Itemset, u64)> {
+        let universe = Itemset::from_ids(0..db.n_items() as u32);
+        (1..=db.n_items())
+            .flat_map(|size| universe.subsets_of_size(size))
+            .map(|set| {
+                let count = db
+                    .baskets()
+                    .filter(|basket| set.items().iter().all(|i| basket.contains(i)))
+                    .count() as u64;
+                (set, count)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_brute_force_on_random_databases() {
+        for seed in 0..12u64 {
+            let k = 3 + (seed % 6) as usize;
+            let db = random_db(seed, k, 12 + seed as usize);
+            let counts = all_counts(&db);
+            for threshold in 1..=4u64 {
+                let result = apriori(&db, MinSupport::Count(threshold), usize::MAX);
+                let got: Vec<(Itemset, u64)> = result
+                    .frequent
+                    .iter()
+                    .map(|f| (f.itemset.clone(), f.count))
+                    .collect();
+                let want: Vec<(Itemset, u64)> = counts
+                    .iter()
+                    .filter(|(_, count)| *count >= threshold)
+                    .cloned()
+                    .collect();
+                assert_eq!(got, want, "seed {seed}, k {k}, threshold {threshold}");
+            }
+        }
+    }
+
+    #[test]
+    fn support_of_agrees_with_a_linear_scan() {
+        for seed in 20..30u64 {
+            let db = random_db(seed, 7, 30);
+            let result = apriori(&db, MinSupport::Count(3), usize::MAX);
+            assert!(
+                result.frequent.len() > 7,
+                "seed {seed}: too few frequent sets"
+            );
+            for (set, count) in all_counts(&db) {
+                let linear = result
+                    .frequent
+                    .iter()
+                    .find(|f| f.itemset == set)
+                    .map(|f| f.count);
+                assert_eq!(result.support_of(&set), linear, "seed {seed}, {set}");
+                assert_eq!(linear.is_some(), count >= 3, "seed {seed}, {set}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! only 0.44 — so rule discovery is a post-processing step over the
 //! frequent itemsets, exactly as the paper describes.
 
-use bmb_basket::{Itemset, SupportCounter};
+use bmb_basket::{BitmapIndex, Itemset};
 
 use crate::apriori::AprioriResult;
 
@@ -90,11 +90,11 @@ pub fn generate_rules(result: &AprioriResult, n: u64, min_confidence: f64) -> Ve
     rules
 }
 
-/// Evaluates a single candidate rule directly against a counter, without a
-/// prior mining run — used by examples and tests that probe specific rules
-/// (like the paper's Example 2).
-pub fn evaluate_rule<C: SupportCounter>(
-    counter: &C,
+/// Evaluates a single candidate rule directly against a bitmap index,
+/// without a prior mining run — used by examples and tests that probe
+/// specific rules (like the paper's Example 2).
+pub fn evaluate_rule(
+    index: &BitmapIndex,
     antecedent: &Itemset,
     consequent: &Itemset,
 ) -> Option<Rule> {
@@ -104,11 +104,11 @@ pub fn evaluate_rule<C: SupportCounter>(
     if !antecedent.intersection(consequent).is_empty() {
         return None;
     }
-    let n = counter.n_baskets();
+    let n = index.n_baskets() as u64;
     let whole = antecedent.union(consequent);
-    let whole_count = counter.itemset_support(&whole);
-    let antecedent_count = counter.itemset_support(antecedent);
-    let consequent_count = counter.itemset_support(consequent);
+    let whole_count = index.support_count(whole.items());
+    let antecedent_count = index.support_count(antecedent.items());
+    let consequent_count = index.support_count(consequent.items());
     if n == 0 || antecedent_count == 0 {
         return None;
     }
@@ -130,7 +130,7 @@ pub fn evaluate_rule<C: SupportCounter>(
 mod tests {
     use super::*;
     use crate::apriori::{apriori, MinSupport};
-    use bmb_basket::{BasketDatabase, ScanCounter};
+    use bmb_basket::BasketDatabase;
 
     /// The paper's Example 2 database: coffee, tea, doughnuts arranged so
     /// the published marginals hold exactly — P[c∧d] = 48, P[c] = 93,
@@ -158,12 +158,12 @@ mod tests {
     #[test]
     fn paper_example_2_confidence_is_not_upward_closed() {
         let db = example2_db();
-        let counter = ScanCounter::new(&db);
+        let index = BitmapIndex::build(&db);
         let coffee = Itemset::from_ids([0]);
         let tea_coffee = Itemset::from_ids([0, 1]);
         let doughnut = Itemset::from_ids([2]);
-        let c_to_d = evaluate_rule(&counter, &coffee, &doughnut).unwrap();
-        let ct_to_d = evaluate_rule(&counter, &tea_coffee, &doughnut).unwrap();
+        let c_to_d = evaluate_rule(&index, &coffee, &doughnut).unwrap();
+        let ct_to_d = evaluate_rule(&index, &tea_coffee, &doughnut).unwrap();
         // P[c∧d] = 48, P[c] = 93 ⇒ conf 0.516; P[t∧c∧d] = 8, P[t∧c] = 18 ⇒ 0.444.
         assert!((c_to_d.confidence - 48.0 / 93.0).abs() < 1e-12);
         assert!((ct_to_d.confidence - 8.0 / 18.0).abs() < 1e-12);
@@ -193,10 +193,10 @@ mod tests {
         let result = apriori(&db, MinSupport::Count(2), usize::MAX);
         let rules = generate_rules(&result, db.len() as u64, 0.5);
         assert!(!rules.is_empty());
-        let counter = ScanCounter::new(&db);
+        let index = BitmapIndex::build(&db);
         for rule in &rules {
             assert!(rule.confidence >= 0.5 - 1e-12);
-            let direct = evaluate_rule(&counter, &rule.antecedent, &rule.consequent).unwrap();
+            let direct = evaluate_rule(&index, &rule.antecedent, &rule.consequent).unwrap();
             assert!((direct.confidence - rule.confidence).abs() < 1e-12);
             assert!((direct.support - rule.support).abs() < 1e-12);
             assert!((direct.lift - rule.lift).abs() < 1e-12);
@@ -217,26 +217,21 @@ mod tests {
     fn lift_reads_dependence_direction() {
         // 0 and 1 co-occur 3/7 ≈ 0.43 vs independence (4/7)(4/7) ≈ 0.33 — lift > 1.
         let db = toy_db();
-        let counter = ScanCounter::new(&db);
-        let rule =
-            evaluate_rule(&counter, &Itemset::from_ids([0]), &Itemset::from_ids([1])).unwrap();
+        let index = BitmapIndex::build(&db);
+        let rule = evaluate_rule(&index, &Itemset::from_ids([0]), &Itemset::from_ids([1])).unwrap();
         assert!(rule.lift > 1.0);
         // 1 and 2 never co-occur — lift 0.
-        let rule =
-            evaluate_rule(&counter, &Itemset::from_ids([1]), &Itemset::from_ids([2])).unwrap();
+        let rule = evaluate_rule(&index, &Itemset::from_ids([1]), &Itemset::from_ids([2])).unwrap();
         assert_eq!(rule.lift, 0.0);
     }
 
     #[test]
     fn overlapping_sides_are_rejected() {
         let db = toy_db();
-        let counter = ScanCounter::new(&db);
-        assert!(evaluate_rule(
-            &counter,
-            &Itemset::from_ids([0, 1]),
-            &Itemset::from_ids([1]),
-        )
-        .is_none());
-        assert!(evaluate_rule(&counter, &Itemset::empty(), &Itemset::from_ids([1])).is_none());
+        let index = BitmapIndex::build(&db);
+        assert!(
+            evaluate_rule(&index, &Itemset::from_ids([0, 1]), &Itemset::from_ids([1])).is_none()
+        );
+        assert!(evaluate_rule(&index, &Itemset::empty(), &Itemset::from_ids([1])).is_none());
     }
 }

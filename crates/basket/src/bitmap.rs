@@ -2,9 +2,9 @@
 //!
 //! The support of an itemset is "how many baskets contain every item". With
 //! one bitmap per item over the baskets, that is a word-wise AND plus
-//! popcount ([`BitmapIndex::support_count`]) — the workhorse behind the
-//! [`crate::counts::BitmapCounter`], the miner's counting and every sealed
-//! segment's supports. Every item's bitmap lives in one item-major
+//! popcount ([`BitmapIndex::support_count`]) — the one counting path behind
+//! the miner, Apriori, rule evaluation and every sealed segment's
+//! supports. Every item's bitmap lives in one item-major
 //! `Vec<u64>`, so a build is one allocation plus one pass over the baskets.
 
 use crate::database::BasketDatabase;

@@ -13,10 +13,8 @@
 //!   lattice algorithms need;
 //! * [`BasketDatabase`] — the paper's `B`, with per-item counts maintained
 //!   online;
-//! * [`BitmapIndex`] — a vertical representation for fast support
-//!   counting;
-//! * [`ScanCounter`] / [`BitmapCounter`] — interchangeable support-counting
-//!   strategies behind the [`SupportCounter`] trait;
+//! * [`BitmapIndex`] — a vertical representation and the one support-
+//!   counting path (AND + popcount over item bitmaps);
 //! * [`ContingencyTable`] / [`SparseContingencyTable`] — dense and
 //!   occupied-cells-only presence/absence tables;
 //! * [`categorical`] — the multinomial (non-binary) extension;
@@ -40,8 +38,6 @@ pub mod categorical;
 pub mod checkpoint;
 /// Dense and sparse presence/absence contingency tables.
 pub mod contingency;
-/// Interchangeable support-counting strategies (scan vs bitmap).
-pub mod counts;
 /// The basket database `B` with online per-item counts.
 pub mod database;
 /// Plain-text basket interchange format (read/write).
@@ -66,7 +62,6 @@ pub use checkpoint::{checkpoint_name, parse_checkpoint_name, MANIFEST_NAME};
 pub use contingency::{
     cell_mask_of, CellMask, ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS,
 };
-pub use counts::{BitmapCounter, ScanCounter, SupportCounter};
 pub use database::BasketDatabase;
 pub use item::{ItemCatalog, ItemId};
 pub use itemset::Itemset;

@@ -1,7 +1,7 @@
 //! Examples 1–3: the worked examples of Sections 1–3.
 
 use bmb_apriori::evaluate_rule;
-use bmb_basket::{ContingencyTable, Itemset, ScanCounter, SupportCounter};
+use bmb_basket::{BitmapIndex, ContingencyTable, Itemset};
 use bmb_datasets::{doughnuts, paper_sample, tea_coffee};
 use bmb_stats::{dependence_ratio, Chi2Test};
 
@@ -14,9 +14,9 @@ pub fn example1() -> String {
     let catalog = db.catalog().expect("named items");
     let tea = catalog.get("tea").unwrap();
     let coffee = catalog.get("coffee").unwrap();
-    let counter = ScanCounter::new(&db);
+    let index = BitmapIndex::build(&db);
     let rule = evaluate_rule(
-        &counter,
+        &index,
         &Itemset::singleton(tea),
         &Itemset::singleton(coffee),
     )
@@ -25,7 +25,7 @@ pub fn example1() -> String {
         db.len() as u64,
         db.item_count(tea),
         db.item_count(coffee),
-        counter.support_count(&[tea, coffee]),
+        index.support_count(&[tea, coffee]),
     )
     .unwrap();
     let mut t = TextTable::new(["", "c", "!c", "row"]);
@@ -51,9 +51,9 @@ pub fn example2() -> String {
     let c = Itemset::singleton(catalog.get("coffee").unwrap());
     let t = Itemset::singleton(catalog.get("tea").unwrap());
     let d = Itemset::singleton(catalog.get("doughnut").unwrap());
-    let counter = ScanCounter::new(&db);
-    let c_to_d = evaluate_rule(&counter, &c, &d).unwrap();
-    let ct_to_d = evaluate_rule(&counter, &c.union(&t), &d).unwrap();
+    let index = BitmapIndex::build(&db);
+    let c_to_d = evaluate_rule(&index, &c, &d).unwrap();
+    let ct_to_d = evaluate_rule(&index, &c.union(&t), &d).unwrap();
     format!(
         "Example 2 — confidence forms no border\n\n\
          confidence(c => d)    = {:.2}  (paper: 0.52)\n\

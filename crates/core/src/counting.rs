@@ -178,6 +178,12 @@ impl SupportStore {
         self.map.is_empty()
     }
 
+    /// Whether `items` (strictly sorted) is a stored set. Allocation-free:
+    /// candidate generation probes the previous level's NOTSIG sets here.
+    pub fn contains(&self, items: &[bmb_basket::ItemId]) -> bool {
+        self.map.contains_key(items)
+    }
+
     /// Looks up `O(S)` for a set of size >= 2; singletons and the empty set
     /// are answered from the marginal source.
     pub fn support_of<M: MarginalSource>(&self, marginals: &M, set: &Itemset) -> Option<u64> {
@@ -459,6 +465,16 @@ mod tests {
         assert_eq!(store.support_of(&db, &Itemset::empty()), Some(8));
         assert_eq!(store.support_of(&db, &Itemset::from_ids([2])), Some(5));
         assert_eq!(store.support_of(&db, &Itemset::from_ids([0, 1])), None);
+    }
+
+    #[test]
+    fn contains_answers_only_stored_sets() {
+        let mut store = SupportStore::new();
+        store.insert(Itemset::from_ids([0, 2]), 3);
+        assert!(store.contains(Itemset::from_ids([0, 2]).items()));
+        assert!(!store.contains(Itemset::from_ids([0, 1]).items()));
+        // Singletons are answered by the marginals, never stored.
+        assert!(!store.contains(Itemset::from_ids([0]).items()));
     }
 
     #[test]

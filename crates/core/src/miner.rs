@@ -19,7 +19,7 @@
 use std::time::{Duration, Instant};
 
 use bmb_basket::{BasketDatabase, BitmapIndex, ContingencyTable, ItemId, Itemset};
-use bmb_lattice::{generate_candidates, Border, ItemsetTable};
+use bmb_lattice::{generate_candidates, Border};
 use bmb_stats::{Chi2Outcome, Chi2Test};
 
 use crate::config::{Level1Prune, MinerConfig};
@@ -92,7 +92,7 @@ impl MiningResult {
     /// (They are minimal by construction; assembling the border re-checks
     /// the antichain property in debug builds.)
     pub fn border(&self) -> Border {
-        Border::from_holders(self.significant.iter().map(|r| r.itemset.clone()))
+        Border::from_minimal(self.significant.iter().map(|r| r.itemset.clone()).collect())
     }
 
     /// Looks up a significant itemset.
@@ -250,7 +250,9 @@ where
         };
         let emit_start = Instant::now();
         let _emit_span = bmb_obs::trace::span_timed("emit", &obs.stage_emit);
-        let mut notsig = ItemsetTable::with_capacity(candidates.len());
+        // This level's NOTSIG sets, in candidate (sorted) order: the
+        // survivors the next level's candidates are joined from.
+        let mut notsig = Vec::new();
         for ((candidate, supp), verdict) in candidates.into_iter().zip(supports).zip(verdicts) {
             match verdict {
                 Verdict::Discarded => stats.discards += 1,
@@ -274,8 +276,8 @@ where
                     // retaining — and none at the final level.
                     if !is_last_level {
                         store.insert(candidate.clone(), supp);
+                        notsig.push(candidate);
                     }
-                    notsig.insert(candidate);
                 }
             }
         }
@@ -293,7 +295,9 @@ where
             Vec::new()
         } else {
             let _span = bmb_obs::trace::span_timed("candgen", &obs.stage_candgen);
-            generate_candidates(&notsig)
+            // The store holds only NOTSIG sets, so a probe of this
+            // level's size asks exactly "is this facet in NOTSIG?".
+            generate_candidates(&notsig, |facet| store.contains(facet))
         };
         level_profile.candgen_us = micros(candgen_start.elapsed());
         profile.levels.push(level_profile);
@@ -520,6 +524,21 @@ mod tests {
         // another.
         let border = result.border();
         assert_eq!(border.len(), result.significant.len());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mutually incomparable")]
+    fn border_flags_a_non_minimal_set_in_debug_builds() {
+        let db = bmb_datasets::planted_pair(3000, 6, 0.3, 0.7, 99);
+        let mut result = mine(&db, &base_config());
+        let mut superset = result
+            .rule_for(&Itemset::from_ids([0, 1]))
+            .expect("planted pair found")
+            .clone();
+        superset.itemset = Itemset::from_ids([0, 1, 5]);
+        result.significant.push(superset);
+        result.border();
     }
 
     #[test]

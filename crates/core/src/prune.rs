@@ -12,12 +12,12 @@
 //!   to be uninteresting". Not closed in either direction; again a
 //!   predicate for walks, not levels.
 
-use bmb_basket::{ContingencyTable, Itemset, SupportCounter};
+use bmb_basket::{BitmapIndex, ContingencyTable, Itemset};
 
 /// Anti-support: `S` qualifies when its all-present count is at most
 /// `threshold` — the combination is *rare*.
-pub fn anti_supported<C: SupportCounter>(counter: &C, set: &Itemset, threshold: u64) -> bool {
-    counter.itemset_support(set) <= threshold
+pub fn anti_supported(index: &BitmapIndex, set: &Itemset, threshold: u64) -> bool {
+    index.support_count(set.items()) <= threshold
 }
 
 /// The chi-squared ceiling: `true` when the statistic is "interestingly"
@@ -35,7 +35,7 @@ pub fn table_in_window(table: &ContingencyTable, test: &bmb_stats::Chi2Test, cei
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmb_basket::{BasketDatabase, ScanCounter};
+    use bmb_basket::BasketDatabase;
 
     #[test]
     fn anti_support_is_upward_closed_on_data() {
@@ -50,20 +50,20 @@ mod tests {
                 vec![0, 1],
             ],
         );
-        let counter = ScanCounter::new(&db);
+        let index = BitmapIndex::build(&db);
         let t = 3u64;
         // Exhaustive: if S anti-supported, every superset is too.
         let universe = Itemset::from_ids(0..3);
         for size in 1..3usize {
             for set in universe.subsets_of_size(size) {
-                if !anti_supported(&counter, &set, t) {
+                if !anti_supported(&index, &set, t) {
                     continue;
                 }
                 for bigger_size in size + 1..=3 {
                     for sup in universe.subsets_of_size(bigger_size) {
                         if set.is_subset_of(&sup) {
                             assert!(
-                                anti_supported(&counter, &sup, t),
+                                anti_supported(&index, &sup, t),
                                 "{sup} not anti-supported though {set} is"
                             );
                         }

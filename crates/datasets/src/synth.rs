@@ -155,9 +155,8 @@ mod tests {
         let coffee = db.catalog().unwrap().get("coffee").unwrap();
         assert_eq!(db.item_count(tea), 25);
         assert_eq!(db.item_count(coffee), 90);
-        let counter = bmb_basket::ScanCounter::new(&db);
-        use bmb_basket::SupportCounter;
-        let both = counter.support_count(&[tea, coffee]);
+        let index = bmb_basket::BitmapIndex::build(&db);
+        let both = index.support_count(&[tea, coffee]);
         assert_eq!(both, 20);
         let dep = dependence_ratio(100, 25, 90, 20).unwrap();
         assert!((dep - 0.888_888).abs() < 1e-5);
@@ -169,12 +168,11 @@ mod tests {
         let c = db.catalog().unwrap().get("coffee").unwrap();
         let d = db.catalog().unwrap().get("doughnut").unwrap();
         let t = db.catalog().unwrap().get("tea").unwrap();
-        use bmb_basket::SupportCounter;
-        let counter = bmb_basket::ScanCounter::new(&db);
-        assert_eq!(counter.support_count(&[c]), 93);
-        assert_eq!(counter.support_count(&[c, d]), 48);
-        assert_eq!(counter.support_count(&[t, c]), 18);
-        assert_eq!(counter.support_count(&[t, c, d]), 8);
+        let index = bmb_basket::BitmapIndex::build(&db);
+        assert_eq!(index.support_count(&[c]), 93);
+        assert_eq!(index.support_count(&[c, d]), 48);
+        assert_eq!(index.support_count(&[t, c]), 18);
+        assert_eq!(index.support_count(&[t, c, d]), 8);
     }
 
     #[test]
@@ -231,9 +229,8 @@ mod tests {
     #[test]
     fn negative_pair_never_co_occurs() {
         let db = negative_pair(1000, 0.4, 3);
-        use bmb_basket::SupportCounter;
-        let counter = bmb_basket::ScanCounter::new(&db);
-        assert_eq!(counter.support_count(&[ItemId(0), ItemId(1)]), 0);
+        let index = bmb_basket::BitmapIndex::build(&db);
+        assert_eq!(index.support_count(&[ItemId(0), ItemId(1)]), 0);
         let table = ContingencyTable::from_database(&db, &Itemset::from_ids([0, 1]));
         let outcome = Chi2Test::default().test_dense(&table);
         assert!(

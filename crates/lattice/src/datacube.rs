@@ -145,7 +145,7 @@ impl CountCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmb_basket::{BitmapIndex, ItemId, SupportCounter};
+    use bmb_basket::{BitmapIndex, ItemId};
 
     fn db() -> BasketDatabase {
         BasketDatabase::from_id_baskets(
@@ -221,11 +221,11 @@ mod tests {
     fn itemset_support_helper() {
         let db = db();
         let cube = CountCube::build(&db, &Itemset::from_ids([0, 1, 2]));
-        let counter = bmb_basket::BitmapCounter::build(&db);
+        let index = BitmapIndex::build(&db);
         let probe = Itemset::from_ids([0, 2]);
         assert_eq!(
             cube.itemset_support(&probe),
-            counter.itemset_support(&probe)
+            index.support_count(probe.items())
         );
     }
 

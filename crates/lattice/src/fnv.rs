@@ -1,9 +1,9 @@
 //! A minimal FNV-1a `Hasher` for itemset-keyed maps.
 //!
-//! The miner's support store is consulted several times per candidate;
-//! std's SipHash is needlessly defensive for that internal workload (keys
-//! are our own itemsets, not attacker input). FNV-1a over the item bytes
-//! is the same function the [`crate::ItemsetTable`] probing table uses.
+//! The miner's support store is consulted several times per candidate,
+//! by table assembly and by candidate generation's facet probes; std's
+//! SipHash is needlessly defensive for that internal workload (keys are
+//! our own itemsets, not attacker input).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -3,9 +3,8 @@
 //! The lattice-algorithm substrate of the *Beyond Market Baskets*
 //! reproduction:
 //!
-//! * [`ItemsetTable`] — the constant-time membership table behind the
-//!   paper's SIG/NOTSIG/CAND bookkeeping (Figure 1, Step 8);
-//! * [`levelwise`] — candidate generation by prefix join + facet check;
+//! * [`levelwise`] — candidate generation by prefix join + facet check
+//!   over one level's sorted survivors (Figure 1, Step 8);
 //! * [`Border`] — antichains of minimal itemsets for upward-closed
 //!   properties (Section 2.2);
 //! * [`closure`] — exhaustive upward/downward closure checking and ground-
@@ -25,8 +24,6 @@ pub mod closure;
 pub mod datacube;
 /// A minimal FNV-1a `Hasher` for itemset-keyed maps.
 pub mod fnv;
-/// A fast membership table for itemsets.
-pub mod itemset_table;
 /// Level-wise candidate generation (the paper's Step 8).
 pub mod levelwise;
 /// Random walks on the itemset lattice.
@@ -38,6 +35,5 @@ pub use closure::{
 };
 pub use datacube::{CountCube, MAX_CUBE_DIMS};
 pub use fnv::{BuildFnv, FnvHashMap, FnvHasher};
-pub use itemset_table::ItemsetTable;
-pub use levelwise::{all_facets_present, generate_candidates};
+pub use levelwise::generate_candidates;
 pub use walk::{random_walk_border, WalkConfig, WalkOutcome, WalkStats};

@@ -67,7 +67,6 @@ fn corrupt<R: Rng + ?Sized>(pattern: &Pattern, rng: &mut R) -> Vec<ItemId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmb_basket::SupportCounter;
 
     fn small_params() -> QuestParams {
         QuestParams {
@@ -127,7 +126,7 @@ mod tests {
         let db = generate(&params);
         let mut rng = StdRng::seed_from_u64(params.seed);
         let pool = PatternPool::generate(&params, &mut rng);
-        let counter = bmb_basket::BitmapCounter::build(&db);
+        let index = bmb_basket::BitmapIndex::build(&db);
         let n = db.len() as f64;
         let heavy = pool
             .patterns()
@@ -136,7 +135,7 @@ mod tests {
             .max_by(|a, b| a.weight.partial_cmp(&b.weight).unwrap())
             .expect("some pattern has >= 2 items");
         let pair = [heavy.items[0], heavy.items[1]];
-        let joint = counter.support_count(&pair) as f64 / n;
+        let joint = index.support_count(&pair) as f64 / n;
         let expected = (db.item_frequency(pair[0])) * (db.item_frequency(pair[1]));
         assert!(
             joint > expected * 2.0,

@@ -472,10 +472,23 @@ fn metrics_http_loop(
         if shutdown.is_shutdown() {
             return; // The wake-up self-connect lands here.
         }
-        // Drain the request head (best effort; scrapers send tiny GETs).
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        // Drain the request head up to its blank line, within 500 ms (best
+        // effort). The head may arrive in several segments, and closing
+        // with any of it unread resets the connection, which can discard
+        // the reply before the client reads it.
+        let deadline = Instant::now() + Duration::from_millis(500);
         let mut head = [0u8; 4096];
-        let _ = stream.read(&mut head);
+        let mut filled = 0;
+        while filled < head.len() && !head[..filled].windows(4).any(|w| w == b"\r\n\r\n") {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                break;
+            }
+            match stream.read(&mut head[filled..]) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => filled += n,
+            }
+        }
         let body = render();
         let response = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; \

@@ -261,6 +261,44 @@ fn http_get_metrics(addr: std::net::SocketAddr) -> String {
 }
 
 #[test]
+fn http_metrics_listener_answers_once_a_split_request_head_ends() {
+    let running = spawn_server(ServerConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    });
+    let metrics_addr = running.metrics_addr.expect("metrics listener bound");
+    let mut stream = TcpStream::connect(metrics_addr).expect("connect /metrics");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\n")
+        .expect("send the first line");
+    // No reply while the head is incomplete: answering and closing now
+    // would leave the rest unread and reset the connection.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("timeout");
+    let mut byte = [0u8; 1];
+    let early = stream.read(&mut byte);
+    assert!(
+        matches!(&early, Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+        "replied before the request head ended: {early:?}"
+    );
+    stream
+        .write_all(b"Host: test\r\nConnection: close\r\n\r\n")
+        .expect("send the rest of the head");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("the whole reply, without a reset");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    assert!(response.contains("bmb_serve_requests_total"));
+    running.stop().expect("clean stop");
+}
+
+#[test]
 fn http_metrics_listener_serves_prometheus_text() {
     let running = spawn_server(ServerConfig {
         metrics_addr: Some("127.0.0.1:0".to_string()),

@@ -40,7 +40,7 @@ pub use bmb_stats as stats;
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use bmb_apriori::{apriori, generate_rules, MinSupport};
-    pub use bmb_basket::{BasketDatabase, ItemCatalog, ItemId, Itemset, SupportCounter};
+    pub use bmb_basket::{BasketDatabase, ItemCatalog, ItemId, Itemset};
     pub use bmb_core::{
         mine, mine_walk, pairs_report, CorrelationRule, MinerConfig, MiningResult, SupportSpec,
     };

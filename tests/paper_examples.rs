@@ -13,8 +13,8 @@ fn example_1_tea_coffee() {
     let catalog = db.catalog().unwrap();
     let tea = Itemset::singleton(catalog.get("tea").unwrap());
     let coffee = Itemset::singleton(catalog.get("coffee").unwrap());
-    let counter = bmb_basket::ScanCounter::new(&db);
-    let rule = sc::evaluate_rule(&counter, &tea, &coffee).unwrap();
+    let index = bmb_basket::BitmapIndex::build(&db);
+    let rule = sc::evaluate_rule(&index, &tea, &coffee).unwrap();
     assert!((rule.support - 0.20).abs() < 1e-12);
     assert!((rule.confidence - 0.80).abs() < 1e-12);
     assert!((rule.lift - 0.888_888_888).abs() < 1e-6);
@@ -28,9 +28,9 @@ fn example_2_confidence_non_closure() {
     let c = Itemset::singleton(catalog.get("coffee").unwrap());
     let t = Itemset::singleton(catalog.get("tea").unwrap());
     let d = Itemset::singleton(catalog.get("doughnut").unwrap());
-    let counter = bmb_basket::ScanCounter::new(&db);
-    let small = sc::evaluate_rule(&counter, &c, &d).unwrap().confidence;
-    let large = sc::evaluate_rule(&counter, &c.union(&t), &d)
+    let index = bmb_basket::BitmapIndex::build(&db);
+    let small = sc::evaluate_rule(&index, &c, &d).unwrap().confidence;
+    let large = sc::evaluate_rule(&index, &c.union(&t), &d)
         .unwrap()
         .confidence;
     assert!(
