@@ -30,6 +30,15 @@ pub enum IoError {
         /// The offending token.
         token: String,
     },
+    /// A catalog name cannot be written as one token: it is empty or
+    /// contains whitespace, so reading the file back would split it
+    /// differently.
+    BadName {
+        /// The named item's id.
+        item: u32,
+        /// The offending name.
+        name: String,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -39,6 +48,12 @@ impl fmt::Display for IoError {
             IoError::BadToken { line, token } => {
                 write!(f, "line {line}: bad item token {token:?}")
             }
+            IoError::BadName { item, name } => {
+                write!(
+                    f,
+                    "item {item}: name {name:?} is empty or contains whitespace"
+                )
+            }
         }
     }
 }
@@ -47,7 +62,7 @@ impl std::error::Error for IoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IoError::Io(e) => Some(e),
-            IoError::BadToken { .. } => None,
+            IoError::BadToken { .. } | IoError::BadName { .. } => None,
         }
     }
 }
@@ -101,7 +116,22 @@ pub fn read_numeric<R: BufRead>(reader: R) -> Result<BasketDatabase, IoError> {
 
 /// Writes a database in the plain-text format. Named output is used when a
 /// catalog is attached, numeric ids otherwise.
+///
+/// # Errors
+///
+/// [`IoError::BadName`] (before anything is written) when a catalog name
+/// is empty or contains whitespace, since [`read_named`] could not read
+/// it back as one item; [`IoError::Io`] when the writer fails.
 pub fn write<W: Write>(db: &BasketDatabase, mut writer: W) -> Result<(), IoError> {
+    if let Some((item, name)) = db.catalog().and_then(|c| {
+        c.iter()
+            .find(|(_, name)| name.is_empty() || name.contains(char::is_whitespace))
+    }) {
+        return Err(IoError::BadName {
+            item: item.0,
+            name: name.to_string(),
+        });
+    }
     for basket in db.baskets() {
         let mut first = true;
         for &item in basket {
@@ -162,6 +192,22 @@ mod tests {
         assert_eq!(back.len(), db.len());
         let b = back.catalog().unwrap().get("b").unwrap();
         assert_eq!(back.item_count(b), 2);
+    }
+
+    #[test]
+    fn write_rejects_names_that_would_not_read_back() {
+        for bad in ["never served", "", "tab\there"] {
+            let db = BasketDatabase::from_named_baskets(vec![vec!["ok", bad]]);
+            let mut buf = Vec::new();
+            match write(&db, &mut buf).unwrap_err() {
+                IoError::BadName { item, name } => {
+                    assert_eq!(item, 1);
+                    assert_eq!(name, bad);
+                }
+                other => panic!("unexpected error {other}"),
+            }
+            assert!(buf.is_empty(), "nothing is written for {bad:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::io::Write;
 
-use bmb_basket::{io as basket_io, BasketDatabase, Itemset};
+use bmb_basket::{io as basket_io, BasketDatabase, ItemCatalog, Itemset};
 use bmb_core::{mine, mine_walk, pairs_report, MinerConfig, SupportSpec};
 use bmb_lattice::WalkConfig;
 use bmb_stats::Chi2Test;
@@ -301,7 +301,7 @@ pub fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             seed: args.get_or("seed", 0x5151u64)?,
             ..bmb_quest::QuestParams::paper_table5()
         }),
-        "census" => bmb_datasets::generate_census(),
+        "census" => census_with_token_names(),
         "text" => bmb_datasets::generate_text(&bmb_datasets::TextParams {
             seed: args.get_or("seed", 0x7e47u64)?,
             ..Default::default()
@@ -326,6 +326,22 @@ pub fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The simulated census with each item name made one token (whitespace
+/// becomes `_`): its names are phrases ("never served in the military"),
+/// and the basket format splits items on whitespace.
+fn census_with_token_names() -> BasketDatabase {
+    let mut db = bmb_datasets::generate_census();
+    if let Some(catalog) = db.catalog() {
+        let tokens = ItemCatalog::from_names(
+            catalog
+                .iter()
+                .map(|(_, name)| name.replace(char::is_whitespace, "_")),
+        );
+        db.set_catalog(tokens);
+    }
+    db
 }
 
 /// `bmb stats FILE` — database summary.
@@ -1545,6 +1561,12 @@ mod tests {
         cmd_stats(&s, &mut out).unwrap();
         let rendered = String::from_utf8(out).unwrap();
         assert!(rendered.contains("baskets: 30370"), "{rendered}");
+        // Every item name reads back as one item.
+        let db = bmb_datasets::generate_census();
+        let items = format!("items: {}\n", db.n_items());
+        let mean = format!("mean basket size: {:.2}\n", db.mean_basket_len());
+        assert!(rendered.contains(&items), "want {items:?} in {rendered}");
+        assert!(rendered.contains(&mean), "want {mean:?} in {rendered}");
         std::fs::remove_file(out_path).ok();
     }
 

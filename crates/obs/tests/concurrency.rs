@@ -51,7 +51,10 @@ fn snapshots_stay_consistent_under_hammering() {
                     let mut last_count = 0u64;
                     let mut last_hist_count = 0u64;
                     let mut snapshots = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    // Snapshot first, then check `stop`: the writers may
+                    // all finish before this thread first runs, and the
+                    // reader must still take and check one snapshot.
+                    loop {
                         let snap = registry.snapshot();
                         let ops = snap.counter_value("bmb_test_ops_total", &[]);
                         let inflight = snap.gauge_value("bmb_test_inflight", &[]);
@@ -92,6 +95,9 @@ fn snapshots_stay_consistent_under_hammering() {
                         last_count = ops;
                         last_hist_count = hist_count;
                         snapshots += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     snapshots
                 })

@@ -31,6 +31,9 @@ use crate::protocol::write_line;
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Every request line is serialized here and leaves through
+    /// [`write_line`], which empties it for the next one.
+    outgoing: String,
     /// The banner line the server sent on connect.
     banner: String,
 }
@@ -118,6 +121,7 @@ impl Client {
         let mut client = Client {
             reader: BufReader::new(stream),
             writer,
+            outgoing: String::new(),
             banner: String::new(),
         };
         let banner = client.read_line()?;
@@ -158,7 +162,8 @@ impl Client {
     ///
     /// Fails on socket errors or a closed connection.
     pub fn request_line(&mut self, line: &str) -> Result<String, ClientError> {
-        write_line(&mut self.writer, line.to_string())?;
+        self.outgoing.push_str(line);
+        write_line(&mut self.writer, &mut self.outgoing)?;
         self.read_line()
     }
 
@@ -181,7 +186,8 @@ impl Client {
     ///
     /// Fails on socket errors.
     pub fn send(&mut self, request: &Value) -> Result<(), ClientError> {
-        write_line(&mut self.writer, request.to_string())?;
+        request.write_json(&mut self.outgoing);
+        write_line(&mut self.writer, &mut self.outgoing)?;
         Ok(())
     }
 
@@ -196,7 +202,7 @@ impl Client {
         let value =
             parse(&line).map_err(|e| ClientError::Protocol(format!("bad response: {e}")))?;
         match value.get("ok").and_then(Value::as_bool) {
-            Some(true) => Ok(value.get("result").cloned().unwrap_or(Value::Null)),
+            Some(true) => Ok(into_result(value)),
             Some(false) => {
                 let message = value
                     .get("error")
@@ -232,6 +238,20 @@ impl Client {
             line.pop();
         }
         Ok(line)
+    }
+}
+
+/// The `"result"` member of a success reply, moved out rather than
+/// cloned (the last duplicate wins, as in [`Value::get`]); `null` when
+/// absent.
+fn into_result(reply: Value) -> Value {
+    match reply {
+        Value::Object(pairs) => pairs
+            .into_iter()
+            .rev()
+            .find(|(key, _)| key == "result")
+            .map_or(Value::Null, |(_, value)| value),
+        _ => Value::Null,
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`crate::json::Value::Float`] otherwise; protocol code that expects counts and ids
 //! reads [`crate::json::Value::as_u64`] and never goes through floating point.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -114,68 +114,90 @@ impl Value {
             Value::Null
         }
     }
+
+    /// Appends this value's JSON text to `out` — the one serializer
+    /// ([`fmt::Display`] delegates here). Strings are escaped by runs and
+    /// numbers are formatted straight into `out`, so a reply costs no
+    /// allocation beyond `out`'s own growth.
+    pub fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            Value::Int(i) => push_fmt(out, format_args!("{i}")),
+            Value::Float(x) if x.is_finite() => {
+                // Keep a float-shaped token even for integral values so the
+                // serialization parses back as a Float.
+                let start = out.len();
+                push_fmt(out, format_args!("{x}"));
+                if !out[start..].contains('.') {
+                    out.push_str(".0");
+                }
+            }
+            Value::Float(_) => out.push_str("null"),
+            Value::Str(s) => write_escaped(out, s),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_json(out);
+                }
+                out.push(']');
+            }
+            Value::Object(pairs) => {
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, key);
+                    out.push(':');
+                    value.write_json(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(true) => f.write_str("true"),
-            Value::Bool(false) => f.write_str("false"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) if x.is_finite() => {
-                // Keep a float-shaped token even for integral values so the
-                // serialization parses back as a Float.
-                let text = format!("{x}");
-                if text.contains('.') {
-                    f.write_str(&text)
-                } else {
-                    write!(f, "{text}.0")
-                }
-            }
-            Value::Float(_) => f.write_str("null"),
-            Value::Str(s) => write_escaped(f, s),
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Object(pairs) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, key)?;
-                    f.write_str(":")?;
-                    write!(f, "{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        f.write_str(&out)
     }
 }
 
-/// Writes `s` as a quoted JSON string with the mandatory escapes.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Formats `args` onto the end of `out` (writing to a `String` cannot fail).
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    let _ = out.write_fmt(args);
+}
+
+/// Appends `s` as a quoted JSON string with the mandatory escapes. Bytes
+/// that need none are copied a run at a time; every escaped byte is
+/// ASCII, so each run ends on a char boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => push_fmt(out, format_args!("\\u{byte:04x}")),
+        }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A parse failure: what went wrong and the byte offset where.
@@ -198,6 +220,7 @@ impl std::error::Error for JsonError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -215,6 +238,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -326,6 +350,17 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one push. Each of those is ASCII, so the run ends on a
+            // char boundary of the (already valid UTF-8) input.
+            let run = self.pos;
+            while let Some(c) = self.peek() {
+                if c == b'"' || c == b'\\' || c < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -360,17 +395,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // slicing is always on a char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    if let Some(c) = s.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
+                Some(_) => return Err(self.error("control character in string")),
             }
         }
     }
@@ -421,8 +446,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));

@@ -344,17 +344,28 @@ fn parse_trace_id(raw: &Value, what: &str) -> Result<TraceId, String> {
         .ok_or_else(|| format!("invalid '{what}': expected 16 lowercase hex digits (nonzero)"))
 }
 
+/// Capacity a reused line buffer keeps once a line has gone out. A
+/// connection reuses one buffer per direction for its whole life; the
+/// cap stops one large reply (a `border`, a `replicate_pull` batch) from
+/// pinning its size until the connection closes.
+pub(crate) const RETAINED_LINE_BYTES: usize = 64 * 1024;
+
 /// Writes one protocol line, `line` and its `\n`, with a single
-/// `write_all`. Both ends set `TCP_NODELAY`, so two writes would leave
-/// as two segments; the client, the banner, responses, error lines and
-/// connection rejections all write through here.
+/// `write_all`, then empties `line` for reuse, keeping at most 64 KiB
+/// of its capacity. Both ends set `TCP_NODELAY`, so
+/// two writes would leave as two segments; the client, the banner,
+/// responses, error lines and connection rejections all write through
+/// here.
 ///
 /// # Errors
 ///
-/// Propagates the writer's error.
-pub fn write_line<W: Write + ?Sized>(out: &mut W, mut line: String) -> io::Result<()> {
+/// Propagates the writer's error; `line` is emptied either way.
+pub fn write_line<W: Write + ?Sized>(out: &mut W, line: &mut String) -> io::Result<()> {
     line.push('\n');
-    out.write_all(line.as_bytes())
+    let written = out.write_all(line.as_bytes());
+    line.clear();
+    line.shrink_to(RETAINED_LINE_BYTES);
+    written
 }
 
 /// Starts a success response, echoing `id` when present.
@@ -733,12 +744,33 @@ mod tests {
                 retryable_error_response(None, "server overloaded: pending queue full").to_string(),
             ),
         ];
+        let mut buf = String::new();
         for (kind, line) in lines {
             let mut out = CountingWriter::default();
-            write_line(&mut out, line.clone()).expect("an in-memory write cannot fail");
+            buf.push_str(&line);
+            write_line(&mut out, &mut buf).expect("an in-memory write cannot fail");
             assert_eq!(out.writes, 1, "{kind} line took {} writes", out.writes);
             assert_eq!(out.bytes, format!("{line}\n").into_bytes(), "{kind} bytes");
+            assert!(buf.is_empty(), "{kind}: the buffer is emptied for reuse");
         }
+    }
+
+    /// A reused line buffer gives back what a large line grew it to, and
+    /// keeps its capacity for ordinary lines.
+    #[test]
+    fn write_line_caps_the_capacity_it_keeps() {
+        let mut buf = "x".repeat(4 * RETAINED_LINE_BYTES);
+        write_line(&mut io::sink(), &mut buf).expect("a sink write cannot fail");
+        assert!(buf.is_empty());
+        assert!(
+            buf.capacity() <= RETAINED_LINE_BYTES,
+            "kept {}",
+            buf.capacity()
+        );
+        buf.push_str(&"y".repeat(1000));
+        let small = buf.capacity();
+        write_line(&mut io::sink(), &mut buf).expect("a sink write cannot fail");
+        assert_eq!(buf.capacity(), small, "a small line keeps its buffer");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::metrics::{ErrorCategory, ServerMetrics};
 use crate::protocol::{
     border_value, chi2_entry_value, chi2_value, error_response, fenced_error_response,
     interest_value, ok_response, pair_value, parse_request, retryable_error_response, write_line,
-    Request, HELLO,
+    Request, HELLO, RETAINED_LINE_BYTES,
 };
 
 /// Server tuning knobs.
@@ -375,9 +375,10 @@ impl RunningServer {
 /// Writes one retryable error line to a connection being shed, then
 /// drops it. Best-effort: the client may already be gone.
 fn reject_connection(mut stream: TcpStream, message: &str) {
-    let line = retryable_error_response(None, message).to_string();
+    let mut line = String::new();
+    retryable_error_response(None, message).write_json(&mut line);
     let _ = stream.set_nodelay(true);
-    let _ = write_line(&mut stream, line);
+    let _ = write_line(&mut stream, &mut line);
 }
 
 /// Everything a worker needs to speak to one client.
@@ -519,42 +520,64 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: ConnectionContext<'_>) {
 
 /// Speaks the protocol over one connection until EOF, error, overlong
 /// line, or shutdown.
+///
+/// The connection keeps one request buffer and one response buffer for
+/// its whole life: complete lines are answered where they lie in the
+/// request buffer, each reply is serialized into the response buffer and
+/// leaves through [`write_line`], and both buffers keep at most
+/// [`RETAINED_LINE_BYTES`] of capacity between lines.
 fn handle_connection(mut stream: TcpStream, ctx: &ConnectionContext<'_>) -> io::Result<()> {
     // Responses are single small writes; Nagle + delayed ACK would add
     // ~40ms to every request on loopback.
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(ctx.config.poll_interval))?;
-    write_line(&mut stream, HELLO.to_string())?;
-    let mut buf: Vec<u8> = Vec::new();
+    let mut response = String::from(HELLO);
+    write_line(&mut stream, &mut response)?;
+    let mut request: Vec<u8> = Vec::new();
+    // `request[..scanned]` holds no `\n`: each byte is searched once.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
-        // Drain every complete line already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..line_bytes.len() - 1]);
+        // Answer every complete line already buffered, then drop them all
+        // at once.
+        let mut consumed = 0;
+        while let Some(newline) = request[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + newline;
+            let line = String::from_utf8_lossy(&request[consumed..end]);
+            scanned = end + 1;
+            consumed = scanned;
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
             }
-            let (response, stop) = handle_line(trimmed, ctx);
-            write_line(&mut stream, response.to_string())?;
+            let (reply, stop) = handle_line(trimmed, ctx);
+            reply.write_json(&mut response);
+            write_line(&mut stream, &mut response)?;
             if stop {
                 ctx.shutdown.shutdown();
                 return Ok(());
             }
         }
+        if consumed > 0 {
+            request.drain(..consumed);
+            if request.len() <= RETAINED_LINE_BYTES {
+                request.shrink_to(RETAINED_LINE_BYTES);
+            }
+        }
+        // The last search found no `\n` in what is left.
+        scanned = request.len();
         if ctx.shutdown.is_shutdown() {
             // Graceful: everything already read got its response above.
             return Ok(());
         }
-        if buf.len() > ctx.config.max_line_bytes {
-            let err = error_response(None, "request line too long");
-            write_line(&mut stream, err.to_string())?;
+        if request.len() > ctx.config.max_line_bytes {
+            error_response(None, "request line too long").write_json(&mut response);
+            write_line(&mut stream, &mut response)?;
             return Ok(());
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()), // client closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => request.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut

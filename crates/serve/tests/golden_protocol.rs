@@ -90,6 +90,67 @@ fn responses_match_golden_fixture_byte_for_byte() {
     );
 }
 
+/// The same script through a raw socket, pipelined: the requests go out
+/// in two writes, CRLF-terminated with a blank line between, and the
+/// first write ends halfway through a request. Its complete lines must
+/// be answered while the half line waits in the server's buffer, and
+/// every reply must still match the golden file byte for byte.
+#[test]
+fn pipelined_requests_split_mid_line_match_golden_fixture() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let requests = std::fs::read_to_string(fixture_path("golden_requests.jsonl"))
+        .expect("request fixture present");
+    let expected = std::fs::read_to_string(fixture_path("golden_responses.jsonl"))
+        .expect("response fixture present");
+    let script: String = requests
+        .lines()
+        .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
+        .map(|line| format!("{line}\r\n\r\n"))
+        .collect();
+    // Cut inside the sixth request: five are whole in the first write.
+    let cut = script
+        .match_indices("\r\n\r\n")
+        .nth(4)
+        .map(|(at, _)| at + 4 + 10)
+        .expect("the script has more than five requests");
+
+    let engine = Arc::new(QueryEngine::new(golden_store(), EngineConfig::default()));
+    let server = Server::bind(engine, ServerConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let running = server.spawn();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // A reply the server never sends fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set a read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the socket"));
+    let mut read_reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read a reply");
+        line
+    };
+    assert!(read_reply().contains("bmb/1"), "banner first");
+
+    let mut replies = String::new();
+    stream
+        .write_all(&script.as_bytes()[..cut])
+        .expect("first write");
+    for _ in 0..5 {
+        replies.push_str(&read_reply());
+    }
+    stream
+        .write_all(&script.as_bytes()[cut..])
+        .expect("second write");
+    for _ in 5..expected.lines().count() {
+        replies.push_str(&read_reply());
+    }
+    drop(stream);
+    running.stop().expect("clean shutdown");
+    assert_eq!(replies, expected);
+}
+
 #[test]
 fn stats_shape_is_stable_even_if_values_are_not() {
     use bmb_serve::json::{parse, Value};

@@ -17,7 +17,12 @@ fi
 
 LOG="$(mktemp)"
 WAL_DIR="$(mktemp -d)"
-trap 'rm -rf "$LOG" "$WAL_DIR"' EXIT
+SERVER_PID=""
+cleanup() {
+    [[ -n "$SERVER_PID" ]] && kill -9 "$SERVER_PID" 2>/dev/null || true
+    rm -rf "$LOG" "$WAL_DIR"
+}
+trap cleanup EXIT
 
 "$BIN" serve --items 8 --checkpoint-dir "$WAL_DIR" --addr 127.0.0.1:0 \
     --metrics-addr 127.0.0.1:0 >"$LOG" &
@@ -102,4 +107,5 @@ echo "$BODY" | awk '
 
 "$BIN" query "$ADDR" '{"cmd":"shutdown"}' >/dev/null
 wait "$SERVER_PID"
+SERVER_PID="" # reaped: nothing left for the trap to kill
 echo "metrics smoke: OK"

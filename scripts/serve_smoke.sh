@@ -12,7 +12,12 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 LOG="$(mktemp)"
-trap 'rm -f "$LOG"' EXIT
+SERVER_PID=""
+cleanup() {
+    [[ -n "$SERVER_PID" ]] && kill -9 "$SERVER_PID" 2>/dev/null || true
+    rm -f "$LOG"
+}
+trap cleanup EXIT
 
 "$BIN" serve --items 4 --addr 127.0.0.1:0 >"$LOG" &
 SERVER_PID=$!
@@ -36,5 +41,6 @@ grep -q '"support":2' <<<"$RESPONSE" || { echo "chi2 response missing expected s
 
 "$BIN" query "$ADDR" '{"cmd":"shutdown"}' >/dev/null
 wait "$SERVER_PID"
+SERVER_PID="" # reaped: nothing left for the trap to kill
 grep -q '^served ' "$LOG" || { echo "server did not report its final stats"; cat "$LOG"; exit 1; }
 echo "serve smoke: OK"
