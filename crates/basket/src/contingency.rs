@@ -30,6 +30,22 @@ pub type CellMask = u32;
 /// Largest itemset dimensionality a dense table will materialize.
 pub const MAX_DENSE_DIMS: usize = 24;
 
+/// `E[r] = n · Π_j p_j` for `cell` of a table over `n` baskets whose items
+/// have marginals `item_counts` (itemset order): the one formula behind
+/// [`ContingencyTable::expected`], for callers that hold only the counts.
+pub fn expected_count(n: u64, item_counts: &[u64], cell: CellMask) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let n = n as f64;
+    let mut e = n;
+    for (j, &count) in item_counts.iter().enumerate() {
+        let p = count as f64 / n;
+        e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
+    }
+    e
+}
+
 /// A dense `2^m` contingency table for one itemset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContingencyTable {
@@ -256,16 +272,7 @@ impl ContingencyTable {
 
     /// Expected count `E[r]` under full independence of all `m` items.
     pub fn expected(&self, cell: CellMask) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        let mut e = n;
-        for (j, &count) in self.item_counts.iter().enumerate() {
-            let p = count as f64 / n;
-            e *= if cell & (1 << j) != 0 { p } else { 1.0 - p };
-        }
-        e
+        expected_count(self.n, &self.item_counts, cell)
     }
 
     /// Iterates `(cell, observed)` over all `2^m` cells.

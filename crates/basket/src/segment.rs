@@ -12,9 +12,9 @@
 //!
 //! Support counting over a snapshot sums per-segment bitmap counts, which
 //! is exactly the count over the concatenated database: segments partition
-//! the baskets, and `O(S)` is additive over any partition. Sealed segments
-//! never change, so per-segment partial results can be cached across
-//! epochs by higher layers (see `bmb-core`'s query engine).
+//! the baskets, and `O(S)` is additive over any partition. A segment
+//! answers the empty set from its basket count and a singleton from its
+//! item counts; only multi-item sets sweep its bitmaps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -30,7 +30,8 @@ use crate::itemset::Itemset;
 pub struct StoreConfig {
     /// Baskets accumulated in the mutable tail before it is sealed into an
     /// immutable segment. Larger segments mean fewer, bigger bitmap
-    /// indexes; smaller segments seal (and become cacheable) sooner.
+    /// indexes; smaller segments seal sooner, so the tail a snapshot
+    /// copies stays small.
     pub segment_capacity: usize,
 }
 
@@ -59,8 +60,8 @@ impl StoreConfig {
 /// An immutable run of baskets with its vertical index.
 ///
 /// Sealed segments are identified by a stable `id`; equal ids across
-/// snapshots of the same store refer to identical contents, which is what
-/// makes per-segment caching sound.
+/// snapshots of the same store refer to identical contents, so a finding
+/// (for example a scrub's) can name the segment it is about.
 #[derive(Debug)]
 pub struct Segment {
     id: u64,
@@ -100,9 +101,13 @@ impl Segment {
         &self.index
     }
 
-    /// `O(S)` within this segment.
+    /// `O(S)` within this segment: the basket count for `[]`, the item's
+    /// count for `[i]`, and a bitmap AND+popcount otherwise.
     pub fn support(&self, items: &[ItemId]) -> u64 {
-        self.index.support_count(items)
+        match items {
+            [single] => self.db.item_count(*single),
+            _ => self.index.support_count(items),
+        }
     }
 }
 
@@ -307,8 +312,8 @@ impl IncrementalStore {
                     Some(cached) => Some(Arc::clone(cached)),
                     None => {
                         // The tail copy is *not* a sealed segment: its id is
-                        // reused across epochs, so it must never enter
-                        // per-segment caches. `u64::MAX` marks it clearly.
+                        // reused across epochs, so nothing may key results
+                        // by it. `u64::MAX` marks it clearly.
                         let sealed = Arc::new(Segment::seal(u64::MAX, inner.tail.clone()));
                         inner.tail_cache = Some(Arc::clone(&sealed));
                         Some(sealed)
@@ -491,6 +496,32 @@ mod tests {
         assert_eq!(snap.tail_segment().map(|t| t.len()), Some(2));
         assert_eq!(snap.sealed_segments()[0].id(), 0);
         assert_eq!(snap.sealed_segments()[1].id(), 1);
+    }
+
+    /// A segment answers `[]` from its basket count and `[i]` from its
+    /// item counts; both agree with its bitmap index, sealed or tail.
+    #[test]
+    fn segment_support_answers_singletons_from_item_counts() {
+        // Item 6 is in every basket and item 7 in none.
+        let store = IncrementalStore::new(8, small_config());
+        for i in 0..11u32 {
+            store.append_ids([i % 3, 3 + i % 2, 6]).unwrap();
+        }
+        let snap = store.snapshot();
+        assert_eq!(snap.sealed_segments().len(), 2);
+        assert!(snap.tail_segment().is_some());
+        for segment in snap.segments() {
+            assert_eq!(segment.support(&[]), segment.len() as u64);
+            for i in 0..8 {
+                let item = [ItemId(i)];
+                assert_eq!(
+                    segment.support(&item),
+                    segment.index().support_count(&item),
+                    "segment {} item {i}",
+                    segment.id()
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,16 +3,13 @@
 //!
 //! A [`QueryEngine`] answers chi-squared / interest / top-k / border
 //! queries against epoch-pinned [`bmb_basket::Snapshot`]s of an
-//! [`bmb_basket::IncrementalStore`], with two capacity-bounded caches:
-//!
-//! * a **table cache** keyed by `(itemset, epoch)` — a full assembled
-//!   [`bmb_basket::ContingencyTable`]; entries for stale epochs simply
-//!   stop being hit and age out of the LRU;
-//! * a **segment-support cache** keyed by `(segment id, itemset)` —
-//!   per-sealed-segment supports. Sealed segments are immutable, so these
-//!   entries stay valid across ingest: after an append only the (small)
-//!   tail contribution is recomputed, which is the "invalidated
-//!   per-segment" behaviour a mostly-append workload wants.
+//! [`bmb_basket::IncrementalStore`], with one capacity-bounded cache: a
+//! **table LRU** keyed by `(itemset, epoch)` holding full assembled
+//! [`bmb_basket::ContingencyTable`]s. Entries for stale epochs simply stop
+//! being hit and age out. A miss assembles the table with
+//! [`bmb_basket::Snapshot::contingency_table`]: each subset's support is
+//! counted from every segment's bitmap index (singletons from the
+//! segments' item counts) and summed, then Möbius-inverted.
 //!
 //! The cluster coordinator answers through the same functions
 //! ([`check_query_shape`], [`check_query_at`], [`Chi2Answer::from_table`],
@@ -26,7 +23,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use bmb_basket::{ContingencyTable, IncrementalStore, ItemId, Itemset, Segment, Snapshot};
+use bmb_basket::{ContingencyTable, IncrementalStore, ItemId, Itemset, Snapshot};
 use bmb_obs::{Counter, Registry};
 use bmb_stats::{Chi2Outcome, Chi2Test, DfConvention, InterestReport};
 
@@ -51,7 +48,9 @@ pub struct EngineConfig {
     pub low_expectation_cutoff: Option<f64>,
     /// Capacity of the `(itemset, epoch)` table cache.
     pub table_cache: usize,
-    /// Capacity of the `(segment, itemset)` support cache.
+    /// Retired and ignored: the engine keeps no per-segment support cache,
+    /// since counting a sealed segment's bitmaps is cheaper than a lookup.
+    /// Kept, at 0, so existing struct literals still compile.
     pub segment_cache: usize,
 }
 
@@ -62,7 +61,7 @@ impl Default for EngineConfig {
             df: DfConvention::PaperSingle,
             low_expectation_cutoff: None,
             table_cache: 4096,
-            segment_cache: 65536,
+            segment_cache: 0,
         }
     }
 }
@@ -130,11 +129,11 @@ pub struct CacheStats {
     pub table_misses: u64,
     /// Table-cache LRU evictions.
     pub table_evictions: u64,
-    /// Sealed-segment support-cache hits.
+    /// Retired: always 0 (the per-segment support cache is gone).
     pub segment_hits: u64,
-    /// Sealed-segment support-cache misses (bitmap sweeps run).
+    /// Retired: always 0 (the per-segment support cache is gone).
     pub segment_misses: u64,
-    /// Sealed-segment support-cache LRU evictions.
+    /// Retired: always 0 (the per-segment support cache is gone).
     pub segment_evictions: u64,
 }
 
@@ -265,6 +264,9 @@ pub fn check_query_at(set: &Itemset, n_baskets: u64, n_items: usize) -> Result<(
 /// `(a, b)` order), over `n` baskets with `item_counts[i]` = `O(i)`;
 /// `pair_support` gives `O(ab)`, called once per pair in `(a, b)` order.
 ///
+/// Pairs are ranked by the statistic alone; only the `k` best are tested
+/// in full.
+///
 /// # Errors
 ///
 /// [`EngineError::EmptySnapshot`] when `n` is 0.
@@ -273,32 +275,45 @@ pub fn rank_pairs(
     item_counts: &[u64],
     test: &Chi2Test,
     k: usize,
-    mut pair_support: impl FnMut(&Itemset) -> u64,
+    mut pair_support: impl FnMut(&[ItemId]) -> u64,
 ) -> Result<Vec<PairCorrelation>, EngineError> {
     if n == 0 {
         return Err(EngineError::EmptySnapshot);
     }
-    let n_items = item_counts.len();
-    let mut rows: Vec<PairCorrelation> = Vec::new();
+    let n_items = item_counts.len() as u32;
+    let marginals = |a: u32, b: u32| [item_counts[a as usize], item_counts[b as usize]];
+    // (statistic, a, b, O(ab)) for every pair.
+    let n_pairs = item_counts.len() * item_counts.len().saturating_sub(1) / 2;
+    let mut ranked: Vec<(f64, u32, u32, u64)> = Vec::with_capacity(n_pairs);
     for a in 0..n_items {
         for b in a + 1..n_items {
-            let set = Itemset::from_ids([a as u32, b as u32]);
-            let s_ab = pair_support(&set);
-            let (o_a, o_b) = (item_counts[a], item_counts[b]);
-            // Cell masks: bit0 = a present, bit1 = b present.
-            let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
-            let table = ContingencyTable::from_counts(set, counts);
-            rows.push(PairCorrelation::from_table(&table, test));
+            let support = pair_support(&[ItemId(a), ItemId(b)]);
+            let cells = pair_cells(n, marginals(a, b), support);
+            let statistic = test.dense_statistic_of(n, &marginals(a, b), &cells);
+            ranked.push((statistic, a, b, support));
         }
     }
-    rows.sort_unstable_by(|x, y| {
-        y.chi2
-            .statistic
-            .total_cmp(&x.chi2.statistic)
-            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+    let order = |x: &(f64, u32, u32, u64), y: &(f64, u32, u32, u64)| {
+        y.0.total_cmp(&x.0)
+            .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
+    };
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
+    let rows = ranked.into_iter().map(|(_, a, b, support)| {
+        let cells = pair_cells(n, marginals(a, b), support).to_vec();
+        let table = ContingencyTable::from_counts(Itemset::from_ids([a, b]), cells);
+        PairCorrelation::from_table(&table, test)
     });
-    rows.truncate(k);
-    Ok(rows)
+    Ok(rows.collect())
+}
+
+/// The 2×2 cells of a pair with marginals `[O(a), O(b)]` and support
+/// `O(ab)` over `n` baskets, by mask: bit0 = `a` present, bit1 = `b`.
+fn pair_cells(n: u64, [o_a, o_b]: [u64; 2], o_ab: u64) -> [u64; 4] {
+    [(n + o_ab) - o_a - o_b, o_a - o_ab, o_b - o_ab, o_ab]
 }
 
 /// The online query engine; all methods take `&self` and are safe to call
@@ -307,16 +322,12 @@ pub struct QueryEngine {
     store: Arc<IncrementalStore>,
     test: Chi2Test,
     tables: Mutex<LruCache<(Itemset, u64), Arc<ContingencyTable>>>,
-    segment_supports: Mutex<LruCache<(u64, Itemset), u64>>,
     /// Per-engine metrics registry (`bmb_core_cache_*` families); each
     /// engine owns its own so parallel engines never share counters.
     obs: Arc<Registry>,
     table_hits: Counter,
     table_misses: Counter,
     table_evictions: Counter,
-    segment_hits: Counter,
-    segment_misses: Counter,
-    segment_evictions: Counter,
 }
 
 impl QueryEngine {
@@ -327,22 +338,13 @@ impl QueryEngine {
         let misses_help = "Engine cache misses by cache.";
         let evict_help = "Engine cache LRU evictions by cache.";
         let table = [("cache", "table")];
-        let segment = [("cache", "segment")];
         QueryEngine {
             store,
             test: Chi2Test::new(config.alpha, config.df, config.low_expectation_cutoff),
             tables: Mutex::new(LruCache::with_capacity(config.table_cache.max(1))),
-            segment_supports: Mutex::new(LruCache::with_capacity(config.segment_cache.max(1))),
             table_hits: obs.counter_with("bmb_core_cache_hits_total", hits_help, &table),
             table_misses: obs.counter_with("bmb_core_cache_misses_total", misses_help, &table),
             table_evictions: obs.counter_with("bmb_core_cache_evictions_total", evict_help, &table),
-            segment_hits: obs.counter_with("bmb_core_cache_hits_total", hits_help, &segment),
-            segment_misses: obs.counter_with("bmb_core_cache_misses_total", misses_help, &segment),
-            segment_evictions: obs.counter_with(
-                "bmb_core_cache_evictions_total",
-                evict_help,
-                &segment,
-            ),
             obs,
         }
     }
@@ -368,20 +370,18 @@ impl QueryEngine {
         self.store.snapshot()
     }
 
-    /// Cumulative cache counters.
+    /// Cumulative cache counters; the retired `segment_*` fields read 0.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             table_hits: self.table_hits.get(),
             table_misses: self.table_misses.get(),
             table_evictions: self.table_evictions.get(),
-            segment_hits: self.segment_hits.get(),
-            segment_misses: self.segment_misses.get(),
-            segment_evictions: self.segment_evictions.get(),
+            ..CacheStats::default()
         }
     }
 
-    /// The contingency table of `set` at `snap`'s epoch, from cache or
-    /// assembled from per-segment supports.
+    /// The contingency table of `set` at `snap`'s epoch, from the table
+    /// LRU or assembled by [`Snapshot::contingency_table`].
     ///
     /// # Errors
     ///
@@ -400,7 +400,7 @@ impl QueryEngine {
             return Ok(Arc::clone(table));
         }
         self.table_misses.inc();
-        let table = Arc::new(self.assemble_table(snap, set));
+        let table = Arc::new(snap.contingency_table(set));
         if lock(&self.tables).insert(key, Arc::clone(&table)) {
             self.table_evictions.inc();
         }
@@ -435,8 +435,8 @@ impl QueryEngine {
     }
 
     /// The `k` most correlated item *pairs* at `snap`'s epoch, by
-    /// [`rank_pairs`]. Pair supports bypass the caches, so a sweep cannot
-    /// evict hot point-query entries.
+    /// [`rank_pairs`]. Pair supports bypass the table LRU, so a sweep
+    /// cannot evict hot point-query entries.
     ///
     /// # Errors
     ///
@@ -452,7 +452,7 @@ impl QueryEngine {
             &marginals.item_counts,
             &self.test,
             k,
-            |pair| snap.support(pair.items()),
+            |pair| snap.support(pair),
         )
     }
 
@@ -475,7 +475,7 @@ impl QueryEngine {
 
     /// The border of correlation at `snap`'s epoch, by
     /// [`mine_with_counter`]: each level is counted on every segment's own
-    /// bitmap index, bypassing the segment-support cache, and summed.
+    /// bitmap index and summed, bypassing the table LRU.
     /// `check` runs after each level's count; its first error ends the mine.
     ///
     /// # Errors
@@ -505,42 +505,6 @@ impl QueryEngine {
             Ok(supports)
         };
         mine_with_counter(&snapshot_marginals(snap), count, config)
-    }
-
-    /// Assembles `set`'s table from per-segment supports by Möbius
-    /// inversion (sealed-segment supports served from cache).
-    fn assemble_table(&self, snap: &Snapshot, set: &Itemset) -> ContingencyTable {
-        ContingencyTable::from_subsets(set, |subset| {
-            let tail = snap.tail_segment().map_or(0, |tail| tail.support(subset));
-            let sealed = snap.sealed_segments().iter();
-            let sealed: u64 = sealed
-                .map(|segment| self.sealed_support(segment, subset))
-                .sum();
-            tail + sealed
-        })
-    }
-
-    /// `O(subset)` within one *sealed* segment, via the per-segment cache.
-    /// Empty sets and singletons are answered from the segment's counts
-    /// directly — caching them would only displace multi-item entries.
-    fn sealed_support(&self, segment: &Segment, subset: &[ItemId]) -> u64 {
-        match subset {
-            [] => segment.len() as u64,
-            [single] => segment.database().item_count(*single),
-            _ => {
-                let key = (segment.id(), Itemset::from_sorted_slice(subset));
-                if let Some(&support) = lock(&self.segment_supports).get(&key) {
-                    self.segment_hits.inc();
-                    return support;
-                }
-                self.segment_misses.inc();
-                let support = segment.support(subset);
-                if lock(&self.segment_supports).insert(key, support) {
-                    self.segment_evictions.inc();
-                }
-                support
-            }
-        }
     }
 }
 
@@ -672,16 +636,188 @@ mod tests {
         assert_eq!(stats.table_misses, 1);
         assert_eq!(stats.table_hits, 1);
         // Ingest advances the epoch: the next query misses the table cache
-        // but reuses every sealed segment's supports.
+        // and re-assembles the table from the segments, equal to the batch
+        // table of the new epoch.
         store.append_ids([0, 1, 2]).unwrap();
         let snap2 = engine.snapshot();
-        engine.chi2(&snap2, &set).unwrap();
+        let served = engine.chi2(&snap2, &set).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(stats.table_misses, 2);
-        assert!(
-            stats.segment_hits >= 1,
-            "sealed-segment supports must survive ingest: {stats:?}"
+        let batch = ContingencyTable::from_database(&snap2.to_database(), &set);
+        assert_eq!(*engine.table(&snap2, &set).unwrap(), batch);
+        assert_eq!(
+            served.outcome.statistic.to_bits(),
+            engine.test().test_dense(&batch).statistic.to_bits()
         );
+    }
+
+    /// Served `chi2` and `interest` answers equal the batch answers on
+    /// the flattened snapshot, bit for bit, across segment capacities
+    /// (one basket per segment up to the default) and ingests
+    /// interleaved with reads, cold and from the table LRU.
+    #[test]
+    fn served_answers_match_batch_across_capacities_and_ingests() {
+        use rand::{Rng, SeedableRng};
+
+        for capacity in [1, 3, 64, 4096] {
+            for seed in 0..3u64 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 31 + capacity as u64);
+                let store = store_with(&[], capacity);
+                let config = EngineConfig {
+                    df: [DfConvention::PaperSingle, DfConvention::Saturated][seed as usize % 2],
+                    ..EngineConfig::default()
+                };
+                let engine = QueryEngine::new(Arc::clone(&store), config);
+                // 4,200 baskets: capacity 4096 seals one segment mid-run.
+                while store.epoch() < 4200 {
+                    let batch = rng
+                        .gen_range(1..=700usize)
+                        .min(4200 - store.epoch() as usize);
+                    let baskets: Vec<Vec<u32>> = (0..batch)
+                        .map(|_| (0..10u32).filter(|_| rng.gen_bool(0.4)).collect())
+                        .collect();
+                    for basket in &baskets {
+                        store.append_ids(basket.iter().copied()).unwrap();
+                    }
+                    let snap = engine.snapshot();
+                    let flat = snap.to_database();
+                    for _ in 0..4 {
+                        let m = rng.gen_range(1..=4usize);
+                        let set = Itemset::from_ids((0..m).map(|_| rng.gen_range(0..10u32)));
+                        let batch_table = ContingencyTable::from_database(&flat, &set);
+                        let want = engine.test().test_dense(&batch_table);
+                        let cell = rng.gen_range(0..1u32 << set.len());
+                        let info = InterestReport::analyze(&batch_table).cells()[cell as usize];
+                        for pass in ["cold", "warm"] {
+                            let case = format!("capacity {capacity}, seed {seed}, {set}, {pass}");
+                            let got = engine.chi2(&snap, &set).unwrap();
+                            let full = (1u32 << set.len()) - 1;
+                            assert_eq!(got.support, batch_table.observed(full), "{case}");
+                            assert_eq!(outcome_bits(&got.outcome), outcome_bits(&want), "{case}");
+                            let interest = engine.interest(&snap, &set, cell).unwrap();
+                            assert_eq!(interest.observed, info.observed, "{case}");
+                            assert_eq!(
+                                interest.expected.to_bits(),
+                                info.expected.to_bits(),
+                                "{case}"
+                            );
+                            assert_eq!(
+                                interest.interest.to_bits(),
+                                info.interest.to_bits(),
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+                let snap = engine.snapshot();
+                let sealed = 4200 / capacity;
+                assert_eq!(snap.sealed_segments().len(), sealed, "capacity {capacity}");
+            }
+        }
+    }
+
+    /// Every field of an outcome, floats by their bits.
+    fn outcome_bits(o: &Chi2Outcome) -> (u64, u64, u64, bool, u64, usize) {
+        (
+            o.statistic.to_bits(),
+            o.df.to_bits(),
+            o.cutoff.to_bits(),
+            o.significant,
+            o.ln_p_value.to_bits(),
+            o.cells_ignored,
+        )
+    }
+
+    /// Every field of a top-k row, floats by their bits.
+    fn row_bits(row: &PairCorrelation) -> impl PartialEq + std::fmt::Debug {
+        (
+            (row.a, row.b),
+            outcome_bits(&row.chi2),
+            row.interests.map(f64::to_bits),
+            row.most_extreme,
+        )
+    }
+
+    /// [`rank_pairs`] as it was before it ranked by statistic alone: a
+    /// full row for every pair, all sorted, then truncated to `k`.
+    fn full_sort_reference(
+        n: u64,
+        item_counts: &[u64],
+        test: &Chi2Test,
+        k: usize,
+        mut pair_support: impl FnMut(&Itemset) -> u64,
+    ) -> Vec<PairCorrelation> {
+        let n_items = item_counts.len();
+        let mut rows: Vec<PairCorrelation> = Vec::new();
+        for a in 0..n_items {
+            for b in a + 1..n_items {
+                let set = Itemset::from_ids([a as u32, b as u32]);
+                let s_ab = pair_support(&set);
+                let (o_a, o_b) = (item_counts[a], item_counts[b]);
+                let counts = vec![(n + s_ab) - o_a - o_b, o_a - s_ab, o_b - s_ab, s_ab];
+                let table = ContingencyTable::from_counts(set, counts);
+                rows.push(PairCorrelation::from_table(&table, test));
+            }
+        }
+        rows.sort_unstable_by(|x, y| {
+            y.chi2
+                .statistic
+                .total_cmp(&x.chi2.statistic)
+                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+        });
+        rows.truncate(k);
+        rows
+    }
+
+    proptest::proptest! {
+        /// `rank_pairs` returns exactly the full-sort reference's rows, in
+        /// its order and bit for bit, under both df conventions, with and
+        /// without a low-expectation cutoff, for every `k`. Items 0 and 1
+        /// are copies of each other, so statistics tie.
+        #[test]
+        fn rank_pairs_matches_the_full_sort_reference(seed in 0u64..1_000_000) {
+            use rand::{Rng, SeedableRng};
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n: u64 = rng.gen_range(1..=60);
+            let n_items = rng.gen_range(3..=9usize);
+            // A few distinct marginals, so unrelated pairs tie too.
+            let levels = [0, n / 3, n / 2, n];
+            let mut item_counts: Vec<u64> =
+                (0..n_items).map(|_| levels[rng.gen_range(0..4usize)]).collect();
+            item_counts[1] = item_counts[0];
+            let mut supports = vec![vec![0u64; n_items]; n_items];
+            for a in 0..n_items {
+                for b in a + 1..n_items {
+                    let (o_a, o_b) = (item_counts[a], item_counts[b]);
+                    let low = (o_a + o_b).saturating_sub(n);
+                    let high = o_a.min(o_b);
+                    supports[a][b] = [low, high, (low + high) / 2][rng.gen_range(0..3usize)];
+                }
+            }
+            for b in 2..n_items {
+                supports[1][b] = supports[0][b];
+            }
+            supports[0][1] = item_counts[0];
+            let n_pairs = n_items * (n_items - 1) / 2;
+            for df in [DfConvention::PaperSingle, DfConvention::Saturated] {
+                for cutoff in [None, Some(1.0), Some(5.0)] {
+                    let test = Chi2Test::new(0.95, df, cutoff);
+                    for k in [0, 1, 3, n_pairs / 2, n_pairs, n_pairs + 5] {
+                        let got = rank_pairs(n, &item_counts, &test, k, |pair| {
+                            supports[pair[0].index()][pair[1].index()]
+                        })
+                        .unwrap();
+                        let want = full_sort_reference(n, &item_counts, &test, k, |pair| {
+                            supports[pair.items()[0].index()][pair.items()[1].index()]
+                        });
+                        let got: Vec<_> = got.iter().map(row_bits).collect();
+                        let want: Vec<_> = want.iter().map(row_bits).collect();
+                        proptest::prop_assert_eq!(got, want, "df {:?}, cutoff {:?}, k {}", df, cutoff, k);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

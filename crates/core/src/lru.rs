@@ -1,9 +1,10 @@
 //! A small intrusive-list LRU cache for the query engine.
 //!
-//! The serving layer caches assembled contingency tables (keyed by
-//! itemset + epoch) and per-segment supports (keyed by segment id +
-//! itemset). Both need strict capacity bounds — a long-running server
-//! must not grow with the query stream — and O(1) get/insert. The cache
+//! The serving layer caches assembled contingency tables, keyed by
+//! itemset + epoch. The cache needs a strict capacity bound — a
+//! long-running server must not grow with the query stream — and O(1)
+//! get/insert. A miss is not cached at any finer grain: the table is
+//! counted afresh from the segments' bitmap indexes. The cache
 //! is a plain slab (`Vec`) of nodes linked into a recency list by index;
 //! no unsafe code, no external crates.
 

@@ -1131,6 +1131,8 @@ fn dispatch_engine(
                 .with("ingest_lag", Value::Int(lag as i64))
                 .with("table_hits", Value::Int(cache.table_hits as i64))
                 .with("table_misses", Value::Int(cache.table_misses as i64))
+                // Retired with the per-segment support cache: always 0,
+                // kept so the `/stats` key set does not change.
                 .with("segment_hits", Value::Int(cache.segment_hits as i64))
                 .with("segment_misses", Value::Int(cache.segment_misses as i64))
                 .with("table_hit_rate", Value::float(cache.table_hit_rate()))

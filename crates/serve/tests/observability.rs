@@ -246,6 +246,55 @@ fn metrics_command_returns_exposition_text() {
     running.stop().expect("clean stop");
 }
 
+/// The per-segment support cache is gone. Its `CacheStats` fields and
+/// `/stats` keys stay for compatibility and must read 0 after table
+/// misses and ingests, and no `cache="segment"` series is exported.
+#[test]
+fn retired_segment_counters_read_zero() {
+    let engine = Arc::new(QueryEngine::new(test_store(), EngineConfig::default()));
+    let running = Server::bind(Arc::clone(&engine), ServerConfig::default())
+        .expect("bind")
+        .spawn();
+    let mut client = Client::connect(running.addr).expect("connect");
+    let requests = [
+        r#"{"cmd":"chi2","items":[0,1]}"#,
+        r#"{"cmd":"chi2","items":[1,2,3]}"#,
+        r#"{"cmd":"ingest","baskets":[[0,1,2],[3],[1,2],[0,3],[2]]}"#,
+        r#"{"cmd":"chi2","items":[0,1]}"#,
+        r#"{"cmd":"interest","items":[1,2,3],"cell":5}"#,
+    ];
+    for line in requests {
+        client.request(&parse(line).expect("req")).expect(line);
+    }
+    let cache = engine.cache_stats();
+    assert_eq!(cache.table_misses, 4, "{cache:?}");
+    assert_eq!(
+        (
+            cache.segment_hits,
+            cache.segment_misses,
+            cache.segment_evictions
+        ),
+        (0, 0, 0)
+    );
+    let stats = client
+        .request(&parse(r#"{"cmd":"stats"}"#).expect("req"))
+        .expect("stats");
+    assert_eq!(stats.get("table_misses").and_then(Value::as_u64), Some(4));
+    for key in ["segment_hits", "segment_misses"] {
+        assert_eq!(stats.get(key).and_then(Value::as_u64), Some(0), "{key}");
+    }
+    let metrics = client
+        .request(&parse(r#"{"cmd":"metrics"}"#).expect("req"))
+        .expect("metrics");
+    let text = metrics.get("text").and_then(Value::as_str).expect("text");
+    assert!(
+        text.contains(r#"bmb_core_cache_misses_total{cache="table"} 4"#),
+        "{text}"
+    );
+    assert!(!text.contains(r#"cache="segment""#), "{text}");
+    running.stop().expect("clean stop");
+}
+
 /// One plain-HTTP GET against the metrics listener.
 fn http_get_metrics(addr: std::net::SocketAddr) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect /metrics");

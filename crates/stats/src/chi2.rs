@@ -19,7 +19,8 @@
 //! cells are visited (`Σ_r E[r] = n`).
 
 use bmb_basket::categorical::CategoricalTable;
-use bmb_basket::{ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS};
+use bmb_basket::contingency::expected_count;
+use bmb_basket::{CellMask, ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS};
 
 use crate::chi2dist::ChiSquared;
 use crate::critical::SignificanceLevel;
@@ -184,6 +185,16 @@ impl Chi2Test {
         (stat >= self.cutoff(m)).then(|| self.binary_outcome(stat, m, ignored))
     }
 
+    /// The statistic [`Chi2Test::test_dense`] reports for the table of `n`
+    /// baskets with item marginals `item_counts` and cell counts `counts`
+    /// (indexed by [`CellMask`]), without building the table: a ranking
+    /// key for callers that test only their best few tables in full.
+    pub fn dense_statistic_of(&self, n: u64, item_counts: &[u64], counts: &[u64]) -> f64 {
+        let cells = (0..).zip(counts.iter().copied());
+        let expected = |cell| expected_count(n, item_counts, cell);
+        statistic(cells, expected, self.low_expectation_cutoff).0
+    }
+
     /// Tests a sparse table using the occupied-cells-only formula.
     ///
     /// The low-expectation policy cannot drop *unoccupied* cells here (they
@@ -266,10 +277,24 @@ impl Chi2Test {
 /// skipped cells.
 fn dense_statistic(table: &ContingencyTable, low_expectation_cutoff: Option<f64>) -> (f64, usize) {
     crate::contracts::assert_table_consistent("χ² input table", table);
+    statistic(
+        table.cells(),
+        |cell| table.expected(cell),
+        low_expectation_cutoff,
+    )
+}
+
+/// [`dense_statistic`] over `(cell, observed)` pairs in mask order, with
+/// `expected` giving each cell's expectation.
+fn statistic(
+    cells: impl Iterator<Item = (CellMask, u64)>,
+    expected: impl Fn(CellMask) -> f64,
+    low_expectation_cutoff: Option<f64>,
+) -> (f64, usize) {
     let mut stat = 0.0;
     let mut ignored = 0usize;
-    for (cell, observed) in table.cells() {
-        let expected = table.expected(cell);
+    for (cell, observed) in cells {
+        let expected = expected(cell);
         if let Some(cutoff) = low_expectation_cutoff {
             if expected < cutoff {
                 ignored += 1;

@@ -91,6 +91,17 @@ for family in \
     grep -q "^${family}" <<<"$BODY" || { echo "missing metric family ${family}"; echo "$BODY" | head -n 40; exit 1; }
 done
 
+# The engine's one cache is the table LRU: the repeated chi2 above hit
+# it, by its label. The retired per-segment support cache exports no
+# series at all.
+grep -Eq '^bmb_core_cache_hits_total\{cache="table"\} [1-9]' <<<"$BODY" \
+    || { echo 'no table-LRU hit in bmb_core_cache_hits_total{cache="table"}'; grep '^bmb_core_cache' <<<"$BODY"; exit 1; }
+if grep -q 'cache="segment"' <<<"$BODY"; then
+    echo 'retired cache="segment" series still exported:'
+    grep 'cache="segment"' <<<"$BODY"
+    exit 1
+fi
+
 # Histogram sanity on the chi2 latency series: buckets cumulative,
 # +Inf == _count, and the two chi2 requests were both recorded.
 echo "$BODY" | awk '
