@@ -43,9 +43,12 @@ const KIND_BATCH: u8 = 0x01;
 /// Record-kind byte for an epoch fence.
 const KIND_FENCE: u8 = 0x02;
 
-/// The standard CRC-32 (IEEE 802.3, reflected) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables for the standard CRC-32 (IEEE 802.3,
+/// reflected). `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[t][i]`
+/// is the CRC of byte `i` followed by `t` zero bytes, so one step folds
+/// eight bytes with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -58,17 +61,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`, eight bytes per step (slice-by-8), then the
+/// remaining bytes one at a time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let lo = u32::from_le_bytes([word[0], word[1], word[2], word[3]]) ^ crc;
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -567,5 +595,46 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time CRC-32 the slice-by-8 loop must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        /// Slice-by-8 equals the bitwise reference on random bytes of
+        /// random lengths up to 4 KiB, read from unaligned start offsets.
+        #[test]
+        fn crc32_matches_bytewise_reference(seed in 0u64..1_000_000) {
+            use rand::{Rng, SeedableRng};
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bytes: Vec<u8> = (0..4096 + 8).map(|_| rng.gen_range(0..=255u8)).collect();
+            for _ in 0..16 {
+                let start = rng.gen_range(0..8usize);
+                let len = rng.gen_range(0..=4096usize);
+                let slice = &bytes[start..start + len];
+                proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "start {}, len {}", start, len);
+            }
+            // Every tail length, at every start.
+            for start in 0..8 {
+                for len in 0..24 {
+                    let slice = &bytes[start..start + len];
+                    proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "start {}, len {}", start, len);
+                }
+            }
+        }
     }
 }

@@ -109,6 +109,24 @@ impl Segment {
             _ => self.index.support_count(items),
         }
     }
+
+    /// Adds this segment's support of every item pair into `pairs`, the
+    /// `(a, b)`-ordered pair triangle of [`Snapshot::pair_supports`]: one
+    /// pass over the sorted, deduplicated baskets, adding 1 for every
+    /// `a < b` in a basket.
+    fn add_pair_supports(&self, pairs: &mut [u64]) {
+        let n_items = self.db.n_items();
+        for basket in self.db.baskets() {
+            for (i, a) in basket.iter().enumerate() {
+                let a = a.index();
+                // Row `a` of the triangle holds `(a, a+1) .. (a, n-1)`.
+                let row = &mut pairs[a * (2 * n_items - a - 1) / 2..];
+                for b in &basket[i + 1..] {
+                    row[b.index() - a - 1] += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Error from appending a basket naming an item outside the store's item
@@ -409,6 +427,32 @@ impl Snapshot {
         self.segments().map(|s| s.support(items)).sum()
     }
 
+    /// `O(ab)` of every item pair `a < b` at this epoch, in `(a, b)`
+    /// order: `(0,1), (0,2), …, (0,k−1), (1,2), …, (k−2,k−1)`, one `u64`
+    /// per pair.
+    ///
+    /// Each segment adds its pairs in one pass over its own baskets, so
+    /// the cost is the baskets' pair count, not one bitmap sweep per
+    /// pair. This answers only "all pairs"; a chosen itemset still counts
+    /// through [`Snapshot::support`]. `check` runs after each segment's
+    /// pass, and its first error ends the pass.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `check`.
+    pub fn pair_supports<E>(
+        &self,
+        mut check: impl FnMut() -> Result<(), E>,
+    ) -> Result<Vec<u64>, E> {
+        let n_items = self.n_items;
+        let mut pairs = vec![0u64; n_items * n_items.saturating_sub(1) / 2];
+        for segment in self.segments() {
+            segment.add_pair_supports(&mut pairs);
+            check()?;
+        }
+        Ok(pairs)
+    }
+
     /// The full `2^m` contingency table of `set` at this epoch, assembled
     /// from per-segment supports by Möbius inversion — no cell-by-cell
     /// AND-NOT sweeps.
@@ -522,6 +566,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The pair triangle equals `support(&[a, b])` for every pair, at
+    /// segment capacities from one basket up to the default, with a
+    /// tail, empty and one-item baskets, and across an ingest between
+    /// two snapshots.
+    #[test]
+    fn pair_supports_match_support_per_pair() {
+        use rand::{Rng, SeedableRng};
+
+        let n_items = 9u32;
+        let pairs_of = |snap: &Snapshot| {
+            let mut want = Vec::new();
+            for a in 0..n_items {
+                for b in a + 1..n_items {
+                    want.push(snap.support(&[ItemId(a), ItemId(b)]));
+                }
+            }
+            want
+        };
+        for capacity in [1, 3, 64, 4096] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(capacity as u64);
+            let store = IncrementalStore::new(
+                n_items as usize,
+                StoreConfig {
+                    segment_capacity: capacity,
+                },
+            );
+            let mut ingest = |count: usize| {
+                for i in 0..count {
+                    let basket: Vec<u32> = match i % 7 {
+                        0 => Vec::new(),
+                        1 => vec![rng.gen_range(0..n_items)],
+                        _ => (0..n_items).filter(|_| rng.gen_bool(0.4)).collect(),
+                    };
+                    store.append_ids(basket).unwrap();
+                }
+            };
+            ingest(4201);
+            let before = store.snapshot();
+            ingest(130);
+            let after = store.snapshot();
+            for (name, snap) in [("before", &before), ("after", &after)] {
+                let case = format!("capacity {capacity}, {name}");
+                assert!(snap.tail_segment().is_some() || capacity == 1, "{case}");
+                let got = snap.pair_supports(|| Ok::<(), ()>(())).unwrap();
+                assert_eq!(got, pairs_of(snap), "{case}");
+            }
+            assert_ne!(
+                before.pair_supports(|| Ok::<(), ()>(())),
+                after.pair_supports(|| Ok::<(), ()>(())),
+                "capacity {capacity}: the ingest moved no pair"
+            );
+        }
+        // No pairs in a one-item space, and all zero with no baskets.
+        let lone = IncrementalStore::new(1, StoreConfig::default());
+        lone.append_ids([0]).unwrap();
+        assert!(lone
+            .snapshot()
+            .pair_supports(|| Ok::<(), ()>(()))
+            .unwrap()
+            .is_empty());
+        let empty = IncrementalStore::new(4, StoreConfig::default()).snapshot();
+        assert_eq!(
+            empty.pair_supports(|| Ok::<(), ()>(())).unwrap(),
+            vec![0; 6]
+        );
+    }
+
+    /// `check` runs after each segment's pass; the first failure ends
+    /// the pass before the next segment is counted.
+    #[test]
+    fn pair_supports_stop_at_the_first_failed_check() {
+        let store = IncrementalStore::new(3, small_config());
+        for _ in 0..10 {
+            store.append_ids([0, 1, 2]).unwrap();
+        }
+        let snap = store.snapshot();
+        assert_eq!(snap.segments().count(), 3);
+        let mut checks = 0;
+        let counted = snap.pair_supports(|| {
+            checks += 1;
+            Ok::<(), &str>(())
+        });
+        assert_eq!(counted.unwrap(), vec![10, 10, 10]);
+        assert_eq!(checks, 3);
+        let mut checks = 0;
+        let stopped = snap.pair_supports(|| {
+            checks += 1;
+            Err("late")
+        });
+        assert_eq!(stopped.unwrap_err(), "late");
+        assert_eq!(checks, 1, "only the first segment was counted");
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! baskets. Every query becomes one `support_vec` scatter: each shard
 //! pins a single snapshot and answers raw integer supports for the
 //! query's subset lattice (in [`bmb_core::subset_itemsets`] mask
-//! order). Supports are *additive* over any partition of the baskets,
-//! so the gathered vectors merge by plain `u64` addition, and the
+//! order). `topk` asks for every pair, so it scatters `pair_supports`
+//! instead: each shard answers its item counts, then its pair triangle
+//! from one pass over its baskets, in the same reply shape. Supports
+//! are *additive* over any partition of the baskets, so the gathered
+//! vectors merge by plain `u64` addition, and the
 //! merged vector feeds the exact Möbius inversion and `Chi2Test` code
 //! path a single store uses ([`bmb_core::table_from_subset_supports`]).
 //! That is the whole bit-identity argument: integers merge exactly, and
@@ -36,11 +39,11 @@
 //! primary's WAL, and only serves again once caught up.
 //!
 //! A scatter is pipelined from the calling thread: it writes the
-//! `support_vec` request to every steady shard's primary in shard
-//! order, then reads each reply in the same order, so the shards work
-//! at once without a thread per shard. A slot that is not steady, or
-//! any failure on that path, goes through the one per-shard request
-//! path that owns mark-down, promotion, demotion, rejoin and retries.
+//! request to every steady shard's primary in shard order, then reads
+//! each reply in the same order, so the shards work at once without a
+//! thread per shard. A slot that is not steady, or any failure on that
+//! path, goes through the one per-shard request path that owns
+//! mark-down, promotion, demotion, rejoin and retries.
 //!
 //! Lock discipline: `health` (per-shard state), `addr` (endpoint
 //! address) and `slot` (the endpoint's checked-in retry client) are
@@ -775,7 +778,6 @@ impl CoordinatorService {
     /// One scatter round: every shard answers supports for `subsets`
     /// (in order) off a single pinned snapshot; the vectors are summed.
     fn scatter_supports(&self, subsets: &[Vec<ItemId>]) -> Result<Gather, ServiceFailure> {
-        self.metrics.scatters.inc();
         let itemsets: Vec<Value> = subsets
             .iter()
             .map(|set| Value::Array(set.iter().map(|item| Value::Int(item.0 as i64)).collect()))
@@ -783,13 +785,31 @@ impl CoordinatorService {
         let request = Value::object()
             .with("cmd", Value::Str("support_vec".to_string()))
             .with("itemsets", Value::Array(itemsets));
-        let answers = self.scatter(&request);
-        let mut supports = vec![0u64; subsets.len()];
+        self.gather(&request, subsets.len())
+    }
+
+    /// One `pair_supports` scatter round: every shard answers its item
+    /// counts, then its pair triangle in `(a, b)` order, off a single
+    /// pinned snapshot; the vectors are summed.
+    fn scatter_pair_supports(&self) -> Result<Gather, ServiceFailure> {
+        let n_items = self.config.n_items;
+        let request = Value::object()
+            .with("cmd", Value::Str("pair_supports".to_string()))
+            .with("n_items", Value::Int(n_items as i64));
+        self.gather(&request, n_items + n_items * n_items.saturating_sub(1) / 2)
+    }
+
+    /// Scatters `request` and sums the shards' `expected`-long support
+    /// vectors.
+    fn gather(&self, request: &Value, expected: usize) -> Result<Gather, ServiceFailure> {
+        self.metrics.scatters.inc();
+        let answers = self.scatter(request);
+        let mut supports = vec![0u64; expected];
         let mut n = 0u64;
         let mut epochs = Vec::with_capacity(self.shards.len());
         for answer in answers {
             let value = answer?;
-            let shard = parse_support_answer(&value, subsets.len())?;
+            let shard = parse_support_answer(&value, expected)?;
             merge_support_vectors(&mut supports, &shard.supports);
             n += shard.n;
             epochs.push(shard.epoch);
@@ -1017,24 +1037,9 @@ impl CoordinatorService {
     }
 
     fn dispatch_topk(&self, k: usize, ctx: &ServiceCtx<'_>) -> Result<Value, ServiceFailure> {
-        // One scatter: all singletons, then all pairs in the (a, b) order
-        // `rank_pairs` reads them in.
-        let n_items = self.config.n_items;
-        let mut subsets: Vec<Vec<ItemId>> =
-            (0..n_items).map(|item| vec![ItemId(item as u32)]).collect();
-        for a in 0..n_items {
-            for b in a + 1..n_items {
-                subsets.push(vec![ItemId(a as u32), ItemId(b as u32)]);
-            }
-        }
-        let gather = self.scatter_supports(&subsets)?;
-        let (item_counts, pair_supports) = gather.supports.split_at(n_items);
-        // The merged vector holds exactly one support per pair (each
-        // shard's length is checked), so the iterator never runs dry.
-        let mut pair_supports = pair_supports.iter().copied();
-        let rows = rank_pairs(gather.n, item_counts, &self.test, k, |_| {
-            pair_supports.next().unwrap_or(0)
-        })?;
+        let gather = self.scatter_pair_supports()?;
+        let (item_counts, pair_supports) = gather.supports.split_at(self.config.n_items);
+        let rows = rank_pairs(gather.n, item_counts, pair_supports, &self.test, k)?;
         let epoch = gather.epoch_sum();
         ctx.metrics.record_served_epoch(epoch);
         Ok(Value::object()
@@ -1380,23 +1385,36 @@ impl CoordinatorService {
             subsets.push(set.items().to_vec());
         }
         let gather = self.scatter_supports(&subsets)?;
-        let epoch = gather.epoch_sum();
-        ctx.metrics.record_served_epoch(epoch);
-        Ok(Value::object()
-            .with("epoch", Value::Int(epoch as i64))
-            .with("n", Value::Int(gather.n as i64))
-            .with(
-                "supports",
-                Value::Array(
-                    gather
-                        .supports
-                        .iter()
-                        .map(|&s| Value::Int(s as i64))
-                        .collect(),
-                ),
-            )
-            .with("epochs", epochs_value(&gather.epochs)))
+        Ok(gather_value(&gather, ctx))
     }
+
+    fn dispatch_pair_supports(
+        &self,
+        n_items: usize,
+        ctx: &ServiceCtx<'_>,
+    ) -> Result<Value, ServiceFailure> {
+        if n_items != self.config.n_items {
+            return Err(ServiceFailure::other(format!(
+                "pair_supports for {n_items} items, but the item space has {} items",
+                self.config.n_items
+            )));
+        }
+        let gather = self.scatter_pair_supports()?;
+        Ok(gather_value(&gather, ctx))
+    }
+}
+
+/// A merged support vector as a shard would answer it, plus the epoch
+/// vector.
+fn gather_value(gather: &Gather, ctx: &ServiceCtx<'_>) -> Value {
+    let epoch = gather.epoch_sum();
+    ctx.metrics.record_served_epoch(epoch);
+    let supports = gather.supports.iter().map(|&s| Value::Int(s as i64));
+    Value::object()
+        .with("epoch", Value::Int(epoch as i64))
+        .with("n", Value::Int(gather.n as i64))
+        .with("supports", Value::Array(supports.collect()))
+        .with("epochs", epochs_value(&gather.epochs))
 }
 
 impl Service for CoordinatorService {
@@ -1428,6 +1446,7 @@ impl Service for CoordinatorService {
                 Ok(response)
             }
             Request::SupportVec { itemsets } => self.dispatch_support_vec(itemsets, ctx),
+            Request::PairSupports { n_items } => self.dispatch_pair_supports(n_items, ctx),
             Request::Stats => self.dispatch_stats(ctx),
             Request::Metrics => {
                 Ok(Value::object().with("text", Value::Str(self.federated_metrics(ctx.metrics))))
@@ -1453,7 +1472,7 @@ impl Service for CoordinatorService {
     }
 }
 
-/// One shard's decoded `support_vec` answer.
+/// One shard's decoded `support_vec` or `pair_supports` answer.
 struct ShardAnswer {
     epoch: u64,
     n: u64,
@@ -1484,7 +1503,7 @@ fn parse_support_answer(value: &Value, expected: usize) -> Result<ShardAnswer, S
 }
 
 fn malformed(what: &str) -> ServiceFailure {
-    ServiceFailure::io(format!("malformed shard support_vec response: {what}"))
+    ServiceFailure::io(format!("malformed shard support response: {what}"))
 }
 
 /// Decodes a remote node's `trace` response back into span records
@@ -1629,5 +1648,59 @@ mod tests {
         );
         assert_eq!(coordinator.metrics.stale_responses.get(), 1);
         shard.join().expect("fake shard");
+    }
+
+    /// `topk` scatters one `pair_supports` for the cluster's item space.
+    /// A shard reply one pair short fails the whole query as a malformed
+    /// shard response instead of ranking the pairs it did cover.
+    #[test]
+    fn short_pair_supports_reply_is_a_malformed_shard_response() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let shard = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            writeln!(writer, "{}", bmb_serve::HELLO).expect("banner");
+            let mut requests = Vec::new();
+            let mut line = String::new();
+            while reader.read_line(&mut line).expect("request line") > 0 {
+                // Four item counts, then five of the six pairs.
+                let reply =
+                    r#"{"ok":true,"result":{"epoch":3,"n":3,"supports":[3,2,2,1,2,1,1,0,1]}}"#;
+                writeln!(writer, "{reply}").expect("reply");
+                requests.push(std::mem::take(&mut line));
+            }
+            requests
+        });
+
+        let coordinator = CoordinatorService::new(CoordinatorConfig::new(4, [addr]));
+        let server_config = bmb_serve::ServerConfig::default();
+        let metrics = ServerMetrics::new();
+        let ctx = ServiceCtx {
+            start: Instant::now(),
+            config: &server_config,
+            metrics: &metrics,
+            generation: None,
+        };
+        let failure = coordinator
+            .dispatch(Request::TopK { k: 3 }, &ctx)
+            .expect_err("a short reply cannot rank");
+        assert_eq!(failure.category, ErrorCategory::Io, "{}", failure.message);
+        assert!(
+            failure
+                .message
+                .contains("malformed shard support response: wrong support vector length"),
+            "{}",
+            failure.message
+        );
+        drop(coordinator);
+        let requests = shard.join().expect("fake shard");
+        assert_eq!(requests.len(), 1, "{requests:?}");
+        assert!(
+            requests[0].contains(r#""cmd":"pair_supports","n_items":4"#),
+            "{}",
+            requests[0]
+        );
     }
 }

@@ -169,6 +169,11 @@ fn query_script() -> Vec<String> {
             .to_string(),
         r#"{"id":14,"cmd":"border","support":2.0}"#.to_string(),
         r#"{"id":15,"cmd":"support_vec","itemsets":[[],[0],[0,1]]}"#.to_string(),
+        format!(r#"{{"id":16,"cmd":"pair_supports","n_items":{N_ITEMS}}}"#),
+        format!(
+            r#"{{"id":17,"cmd":"pair_supports","n_items":{}}}"#,
+            N_ITEMS + 1
+        ),
     ]
 }
 

@@ -15,12 +15,15 @@
 //! ([`check_query_shape`], [`check_query_at`], [`Chi2Answer::from_table`],
 //! [`InterestAnswer::from_table`], [`rank_pairs`], and
 //! [`crate::mine_with_counter`] for `border`); only its supports come from
-//! elsewhere: the sum of the shards' `support_vec` answers.
+//! elsewhere: the sum of the shards' `support_vec` answers, or, for
+//! `topk`, of their `pair_supports` triangles.
 //!
 //! Every answer is bit-identical to the batch pipeline on the same epoch:
 //! snapshot supports are exact sums over a partition of the baskets, and
 //! tables are assembled by the same Möbius inversion the miner uses.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use bmb_basket::{ContingencyTable, IncrementalStore, ItemId, Itemset, Snapshot};
@@ -261,11 +264,12 @@ pub fn check_query_at(set: &Itemset, n_baskets: u64, n_items: usize) -> Result<(
 }
 
 /// The `k` item pairs with the largest χ² statistic (descending, ties in
-/// `(a, b)` order), over `n` baskets with `item_counts[i]` = `O(i)`;
-/// `pair_support` gives `O(ab)`, called once per pair in `(a, b)` order.
+/// `(a, b)` order), over `n` baskets with `item_counts[i]` = `O(i)` and
+/// `pair_supports` = `O(ab)` for every pair `a < b` in `(a, b)` order (the
+/// triangle of [`Snapshot::pair_supports`]).
 ///
-/// Pairs are ranked by the statistic alone; only the `k` best are tested
-/// in full.
+/// Pairs are ranked by the statistic alone, keeping only the `k` best
+/// seen so far; only those are tested in full.
 ///
 /// # Errors
 ///
@@ -273,42 +277,78 @@ pub fn check_query_at(set: &Itemset, n_baskets: u64, n_items: usize) -> Result<(
 pub fn rank_pairs(
     n: u64,
     item_counts: &[u64],
+    pair_supports: &[u64],
     test: &Chi2Test,
     k: usize,
-    mut pair_support: impl FnMut(&[ItemId]) -> u64,
 ) -> Result<Vec<PairCorrelation>, EngineError> {
     if n == 0 {
         return Err(EngineError::EmptySnapshot);
     }
     let n_items = item_counts.len() as u32;
+    debug_assert_eq!(
+        pair_supports.len(),
+        item_counts.len() * n_items.saturating_sub(1) as usize / 2
+    );
     let marginals = |a: u32, b: u32| [item_counts[a as usize], item_counts[b as usize]];
-    // (statistic, a, b, O(ab)) for every pair.
-    let n_pairs = item_counts.len() * item_counts.len().saturating_sub(1) / 2;
-    let mut ranked: Vec<(f64, u32, u32, u64)> = Vec::with_capacity(n_pairs);
-    for a in 0..n_items {
-        for b in a + 1..n_items {
-            let support = pair_support(&[ItemId(a), ItemId(b)]);
-            let cells = pair_cells(n, marginals(a, b), support);
-            let statistic = test.dense_statistic_of(n, &marginals(a, b), &cells);
-            ranked.push((statistic, a, b, support));
+    let pairs = (0..n_items).flat_map(|a| (a + 1..n_items).map(move |b| (a, b)));
+    let mut best: BinaryHeap<RankedPair> = BinaryHeap::with_capacity(k.min(pair_supports.len()));
+    for ((a, b), &support) in pairs.zip(pair_supports) {
+        let cells = pair_cells(n, marginals(a, b), support);
+        let pair = RankedPair {
+            statistic: test.dense_statistic_of(n, &marginals(a, b), &cells),
+            a,
+            b,
+            support,
+        };
+        if best.len() < k {
+            best.push(pair);
+        } else if let Some(mut worst) = best.peek_mut() {
+            if pair < *worst {
+                *worst = pair;
+            }
         }
     }
-    let order = |x: &(f64, u32, u32, u64), y: &(f64, u32, u32, u64)| {
-        y.0.total_cmp(&x.0)
-            .then_with(|| (x.1, x.2).cmp(&(y.1, y.2)))
-    };
-    if k < ranked.len() {
-        ranked.select_nth_unstable_by(k, order);
-        ranked.truncate(k);
-    }
-    ranked.sort_unstable_by(order);
-    let rows = ranked.into_iter().map(|(_, a, b, support)| {
-        let cells = pair_cells(n, marginals(a, b), support).to_vec();
-        let table = ContingencyTable::from_counts(Itemset::from_ids([a, b]), cells);
+    let rows = best.into_sorted_vec().into_iter().map(|pair| {
+        let cells = pair_cells(n, marginals(pair.a, pair.b), pair.support).to_vec();
+        let table = ContingencyTable::from_counts(Itemset::from_ids([pair.a, pair.b]), cells);
         PairCorrelation::from_table(&table, test)
     });
     Ok(rows.collect())
 }
+
+/// One pair in [`rank_pairs`]'s selection. It orders better pairs first
+/// (larger statistic, then smaller `(a, b)`), so the top of a max-heap
+/// is the worst pair kept.
+#[derive(Clone, Copy, Debug)]
+struct RankedPair {
+    statistic: f64,
+    a: u32,
+    b: u32,
+    support: u64,
+}
+
+impl Ord for RankedPair {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .statistic
+            .total_cmp(&self.statistic)
+            .then_with(|| (self.a, self.b).cmp(&(other.a, other.b)))
+    }
+}
+
+impl PartialOrd for RankedPair {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RankedPair {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RankedPair {}
 
 /// The 2×2 cells of a pair with marginals `[O(a), O(b)]` and support
 /// `O(ab)` over `n` baskets, by mask: bit0 = `a` present, bit1 = `b`.
@@ -434,9 +474,7 @@ impl QueryEngine {
         InterestAnswer::from_table(set.clone(), cell, snap.epoch(), &table)
     }
 
-    /// The `k` most correlated item *pairs* at `snap`'s epoch, by
-    /// [`rank_pairs`]. Pair supports bypass the table LRU, so a sweep
-    /// cannot evict hot point-query entries.
+    /// [`QueryEngine::topk_pairs_checked`] with no check.
     ///
     /// # Errors
     ///
@@ -446,14 +484,38 @@ impl QueryEngine {
         snap: &Snapshot,
         k: usize,
     ) -> Result<Vec<PairCorrelation>, EngineError> {
+        self.topk_pairs_checked(snap, k, || Ok(()))
+    }
+
+    /// The `k` most correlated item *pairs* at `snap`'s epoch, by
+    /// [`rank_pairs`] over [`Snapshot::pair_supports`]: one pass over
+    /// each segment's baskets, bypassing the table LRU, so a sweep cannot
+    /// evict hot point-query entries. `check` runs after each segment's
+    /// pass; its first error ends the count.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::EmptySnapshot`] when nothing was ingested, or the
+    /// first error of `check`.
+    pub fn topk_pairs_checked<E: From<EngineError>>(
+        &self,
+        snap: &Snapshot,
+        k: usize,
+        check: impl FnMut() -> Result<(), E>,
+    ) -> Result<Vec<PairCorrelation>, E> {
+        if snap.is_empty() {
+            return Err(EngineError::EmptySnapshot.into());
+        }
         let marginals = snapshot_marginals(snap);
-        rank_pairs(
+        let pair_supports = snap.pair_supports(check)?;
+        let rows = rank_pairs(
             marginals.n_baskets,
             &marginals.item_counts,
+            &pair_supports,
             &self.test,
             k,
-            |pair| snap.support(pair),
-        )
+        )?;
+        Ok(rows)
     }
 
     /// [`QueryEngine::border_checked`] with no check.
@@ -800,14 +862,16 @@ mod tests {
             }
             supports[0][1] = item_counts[0];
             let n_pairs = n_items * (n_items - 1) / 2;
+            let triangle: Vec<u64> = (0..n_items)
+                .flat_map(|a| (a + 1..n_items).map(move |b| (a, b)))
+                .map(|(a, b)| supports[a][b])
+                .collect();
+            proptest::prop_assert_eq!(triangle.len(), n_pairs);
             for df in [DfConvention::PaperSingle, DfConvention::Saturated] {
                 for cutoff in [None, Some(1.0), Some(5.0)] {
                     let test = Chi2Test::new(0.95, df, cutoff);
                     for k in [0, 1, 3, n_pairs / 2, n_pairs, n_pairs + 5] {
-                        let got = rank_pairs(n, &item_counts, &test, k, |pair| {
-                            supports[pair[0].index()][pair[1].index()]
-                        })
-                        .unwrap();
+                        let got = rank_pairs(n, &item_counts, &triangle, &test, k).unwrap();
                         let want = full_sort_reference(n, &item_counts, &test, k, |pair| {
                             supports[pair.items()[0].index()][pair.items()[1].index()]
                         });
@@ -984,6 +1048,75 @@ mod tests {
             EngineConfig::default(),
         );
         let stopped = empty.border_checked(&empty.snapshot(), &config, || -> Result<(), Stop> {
+            unreachable!("checked an empty snapshot")
+        });
+        assert_eq!(
+            stopped.unwrap_err(),
+            Stop::Engine(EngineError::EmptySnapshot)
+        );
+    }
+
+    /// `topk_pairs_checked` runs `check` after each segment's pass. One
+    /// that fails after the first segment ends the count with its error;
+    /// a passing one changes nothing, and the ranking equals the full-sort
+    /// reference over per-pair supports.
+    #[test]
+    fn topk_stops_at_the_first_failed_check() {
+        #[derive(Debug, PartialEq)]
+        enum Stop {
+            Deadline,
+            Engine(EngineError),
+        }
+        impl From<EngineError> for Stop {
+            fn from(error: EngineError) -> Stop {
+                Stop::Engine(error)
+            }
+        }
+        let db = bmb_datasets::planted_pair(600, 6, 0.4, 0.8, 11);
+        let store = IncrementalStore::from_database(
+            &db,
+            StoreConfig {
+                segment_capacity: 64,
+            },
+        );
+        let engine = QueryEngine::new(Arc::new(store), EngineConfig::default());
+        let snap = engine.snapshot();
+        let segments = snap.segments().count();
+        assert_eq!(segments, 10, "nine sealed segments and a tail");
+        let mut checks = 0;
+        let passing = engine.topk_pairs_checked(&snap, 4, || {
+            checks += 1;
+            Ok::<(), Stop>(())
+        });
+        assert_eq!(checks, segments);
+        let want = full_sort_reference(
+            snap.n_baskets() as u64,
+            &snapshot_marginals(&snap).item_counts,
+            engine.test(),
+            4,
+            |pair| snap.support(pair.items()),
+        );
+        let got: Vec<_> = passing.unwrap().iter().map(row_bits).collect();
+        let want: Vec<_> = want.iter().map(row_bits).collect();
+        assert_eq!(got, want);
+        let mut checks = 0;
+        let stopped = engine.topk_pairs_checked(&snap, 4, || {
+            checks += 1;
+            Err(Stop::Deadline)
+        });
+        assert_eq!(stopped.unwrap_err(), Stop::Deadline);
+        assert_eq!(checks, 1, "only the first segment was counted");
+        // An empty snapshot fails before anything is counted or checked.
+        let empty = QueryEngine::new(
+            Arc::new(IncrementalStore::new(4, StoreConfig::default())),
+            EngineConfig::default(),
+        );
+        let empty_snap = empty.snapshot();
+        assert_eq!(
+            empty.topk_pairs(&empty_snap, 3).unwrap_err(),
+            EngineError::EmptySnapshot
+        );
+        let stopped = empty.topk_pairs_checked(&empty_snap, 3, || -> Result<(), Stop> {
             unreachable!("checked an empty snapshot")
         });
         assert_eq!(

@@ -309,8 +309,8 @@ fn xorshift64(state: &mut u64) -> u64 {
 }
 
 /// Commands that are safe to send twice. Queries are pure reads, as are
-/// the cluster-internal `support_vec`, `replicate_pull`, and
-/// `integrity` (digests); `promote` and `demote` bump a monotone
+/// the cluster-internal `support_vec`, `pair_supports`,
+/// `replicate_pull`, and `integrity` (digests); `promote` and `demote` bump a monotone
 /// generation, and `scrub` converges (re-verifying and re-repairing the
 /// same artifacts is harmless), so repeating any of them is safe.
 /// `ingest` mutates and `shutdown` is one-way-destructive, so a client
@@ -327,6 +327,7 @@ fn is_idempotent(request: &Value) -> bool {
                 | "topk"
                 | "border"
                 | "support_vec"
+                | "pair_supports"
                 | "replicate_pull"
                 | "integrity"
                 | "scrub"
@@ -590,6 +591,7 @@ mod tests {
             "topk",
             "border",
             "support_vec",
+            "pair_supports",
             "replicate_pull",
             "integrity",
             "scrub",

@@ -35,6 +35,7 @@ pub const KNOWN_COMMANDS: &[&str] = &[
     "trace",
     "events",
     "support_vec",
+    "pair_supports",
     "replicate_pull",
     "promote",
     "demote",

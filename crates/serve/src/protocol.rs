@@ -72,6 +72,15 @@ pub enum Request {
         /// The itemsets (typically a query's full subset lattice).
         itemsets: Vec<Vec<u32>>,
     },
+    /// Shard-internal: the item counts, then every item pair's support
+    /// in `(a, b)` order, all pinned to one snapshot. The coordinator's
+    /// `topk` scatter; the reply has `support_vec`'s shape.
+    PairSupports {
+        /// The item-space size the sender expects; a shard over a
+        /// different item space refuses, so the reply length is fixed
+        /// by the request.
+        n_items: usize,
+    },
     /// Replication: baskets after an epoch, read from the shard's
     /// sealed WAL segments (or a snapshot once the WAL is reclaimed).
     ReplicatePull {
@@ -141,6 +150,7 @@ impl Request {
             Request::Ingest { .. } => "ingest",
             Request::Checkpoint => "checkpoint",
             Request::SupportVec { .. } => "support_vec",
+            Request::PairSupports { .. } => "pair_supports",
             Request::ReplicatePull { .. } => "replicate_pull",
             Request::Integrity { .. } => "integrity",
             Request::Scrub { .. } => "scrub",
@@ -273,6 +283,13 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
         "checkpoint" => Request::Checkpoint,
         "support_vec" => Request::SupportVec {
             itemsets: parse_id_lists(value.get("itemsets"), "itemsets")?,
+        },
+        "pair_supports" => Request::PairSupports {
+            n_items: value
+                .get("n_items")
+                .and_then(Value::as_u64)
+                .map(|n| n as usize)
+                .ok_or_else(|| "'n_items' must be a non-negative integer".to_string())?,
         },
         "replicate_pull" => Request::ReplicatePull {
             after_epoch: value
@@ -561,6 +578,10 @@ mod tests {
                 },
             ),
             (
+                r#"{"cmd":"pair_supports","n_items":200}"#,
+                Request::PairSupports { n_items: 200 },
+            ),
+            (
                 r#"{"cmd":"replicate_pull","after_epoch":17,"max_baskets":100}"#,
                 Request::ReplicatePull {
                     after_epoch: 17,
@@ -632,6 +653,8 @@ mod tests {
             r#"{"cmd":"topk","k":-3}"#,
             r#"{"cmd":"interest","items":[1],"cell":1.5}"#,
             r#"{"cmd":"support_vec","itemsets":[[1],"x"]}"#,
+            r#"{"cmd":"pair_supports"}"#,
+            r#"{"cmd":"pair_supports","n_items":-1}"#,
             r#"{"cmd":"replicate_pull"}"#,
             r#"{"cmd":"replicate_pull","after_epoch":-4}"#,
             r#"{"cmd":"demote"}"#,

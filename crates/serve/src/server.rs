@@ -1021,7 +1021,7 @@ fn dispatch_engine(
         Request::TopK { k } => {
             let snap = engine.snapshot();
             ctx.metrics.record_served_epoch(snap.epoch());
-            let pairs = engine.topk_pairs(&snap, k)?;
+            let pairs = engine.topk_pairs_checked(&snap, k, || ctx.check_deadline())?;
             Ok(Value::object()
                 .with("epoch", Value::Int(snap.epoch() as i64))
                 .with(
@@ -1168,6 +1168,29 @@ fn dispatch_engine(
                 };
                 supports.push(Value::Int(support as i64));
             }
+            Ok(Value::object()
+                .with("epoch", Value::Int(snap.epoch() as i64))
+                .with("n", Value::Int(snap.n_baskets() as i64))
+                .with("supports", Value::Array(supports)))
+        }
+        Request::PairSupports { n_items } => {
+            // `support_vec`'s shape over one snapshot: the item counts,
+            // then the pair triangle, so the coordinator merges both
+            // answers through one path.
+            let snap = engine.snapshot();
+            ctx.metrics.record_served_epoch(snap.epoch());
+            if n_items != snap.n_items() {
+                return Err(ServiceFailure::other(format!(
+                    "pair_supports for {n_items} items, but the item space has {} items",
+                    snap.n_items()
+                )));
+            }
+            let pairs = snap.pair_supports(|| ctx.check_deadline())?;
+            let supports = (0..n_items)
+                .map(|item| snap.item_count(ItemId(item as u32)))
+                .chain(pairs)
+                .map(|support| Value::Int(support as i64))
+                .collect();
             Ok(Value::object()
                 .with("epoch", Value::Int(snap.epoch() as i64))
                 .with("n", Value::Int(snap.n_baskets() as i64))

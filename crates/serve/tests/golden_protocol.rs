@@ -194,3 +194,31 @@ fn stats_shape_is_stable_even_if_values_are_not() {
     assert_eq!(stats.get("ingest_lag").and_then(Value::as_u64), Some(0));
     running.stop().expect("clean shutdown");
 }
+
+/// The shard-internal `pair_supports` reply on the golden store, pinned
+/// byte for byte: `support_vec`'s shape, holding the four item counts and
+/// then the six pair supports in `(a, b)` order. A request for another
+/// item space is refused.
+#[test]
+fn pair_supports_reply_matches_its_golden_line() {
+    let engine = Arc::new(QueryEngine::new(golden_store(), EngineConfig::default()));
+    let server = Server::bind(engine, ServerConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let running = server.spawn();
+    let mut client = Client::connect(addr).expect("connect");
+    let replies: Vec<String> = [
+        r#"{"id":1,"cmd":"pair_supports","n_items":4}"#,
+        r#"{"id":2,"cmd":"pair_supports","n_items":5}"#,
+    ]
+    .into_iter()
+    .map(|line| client.request_line(line).expect("response line"))
+    .collect();
+    running.stop().expect("clean shutdown");
+    assert_eq!(
+        replies,
+        [
+            r#"{"id":1,"ok":true,"result":{"epoch":10,"n":10,"supports":[6,7,4,3,5,2,1,3,2,2]},"trace":"0000000000000001"}"#,
+            r#"{"id":2,"ok":false,"error":"pair_supports for 5 items, but the item space has 4 items","trace":"0000000000000002"}"#,
+        ]
+    );
+}

@@ -4,7 +4,9 @@
 # Ingests through the coordinator, checks a chi2 answer carries the
 # 3-slot epoch vector, then SIGKILLs shard 0 and requires the
 # coordinator to promote the follower and keep answering with the same
-# support — never a wrong or permanent-error response.
+# support — never a wrong or permanent-error response. A `topk` (one
+# `pair_supports` scatter) before the kill and after the promotion must
+# rank the same pairs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +83,31 @@ grep -q '"epochs":\[2,2,2\]' <<<"$RESPONSE" || { echo "unexpected epoch vector";
 SUPPORT="$(grep '"id":2' <<<"$RESPONSE" | grep -o '"support":[0-9]*' | head -n 1)"
 [[ "$SUPPORT" == '"support":3' ]] || { echo "wrong support before kill: $SUPPORT"; exit 1; }
 
+# The `pairs` of the response line with id $1, read from stdin; fails
+# unless that response is "ok":true.
+topk_pairs() {
+    python3 -c '
+import json, sys
+want = int(sys.argv[1])
+for line in sys.stdin:
+    if not line.startswith("{"):
+        continue
+    r = json.loads(line)
+    if r.get("id") == want:
+        if r.get("ok") is not True:
+            sys.exit("topk failed: " + line.strip())
+        print(json.dumps(r["result"]["pairs"], sort_keys=True))
+        sys.exit(0)
+sys.exit("no response with id %d" % want)
+' "$1"
+}
+
+echo "==> topk through the coordinator (pair_supports scatter)"
+TOPK_BEFORE="$("$BIN" query "$COORD_ADDR" '{"id":4,"cmd":"topk","k":5}')"
+PAIRS_BEFORE="$(topk_pairs 4 <<<"$TOPK_BEFORE")" \
+    || { echo "topk before kill failed: $TOPK_BEFORE"; exit 1; }
+[[ "$PAIRS_BEFORE" == '[{'* ]] || { echo "topk ranked no pairs: $TOPK_BEFORE"; exit 1; }
+
 echo "==> waiting for the follower to catch up to shard 0"
 for _ in $(seq 1 100); do
     LAG="$("$BIN" query "$FOLLOWER_ADDR" '{"cmd":"stats"}' \
@@ -114,6 +141,13 @@ for _ in $(seq 1 20); do
 done
 [[ -n "$OK" ]] || { echo "coordinator never recovered after the kill"; exit 1; }
 echo "$AFTER"
+
+echo "==> topk after promotion ranks the same pairs"
+TOPK_AFTER="$("$BIN" query "$COORD_ADDR" '{"id":5,"cmd":"topk","k":5}')"
+PAIRS_AFTER="$(topk_pairs 5 <<<"$TOPK_AFTER")" \
+    || { echo "topk after promotion failed: $TOPK_AFTER"; exit 1; }
+[[ "$PAIRS_AFTER" == "$PAIRS_BEFORE" ]] \
+    || { echo "WRONG topk after promotion: $PAIRS_AFTER vs $PAIRS_BEFORE"; exit 1; }
 
 echo "==> promotion is visible in coordinator stats"
 STATS="$("$BIN" query "$COORD_ADDR" '{"cmd":"stats"}')"
