@@ -1,29 +1,52 @@
-//! Checkpoint snapshots and the checkpoint manifest.
+//! Checkpoint snapshots, sealed segment files and the checkpoint
+//! manifest.
 //!
 //! A checkpoint bounds recovery: instead of replaying the write-ahead
 //! log from byte zero, [`crate::wal::DurableStore::open_dir`] loads the
-//! newest *valid* snapshot file and replays only the WAL records after
-//! its epoch. This module owns the two on-media formats and their
-//! validation; the protocol that writes them crash-safely lives in
-//! [`crate::wal`].
+//! newest *valid* checkpoint and replays only the WAL records after its
+//! epoch. This module owns the on-media formats and their validation;
+//! the protocol that writes them crash-safely lives in [`crate::wal`].
+//!
+//! # Sealed segment files (`sealed.<id>.<copy>`)
+//!
+//! A sealed store segment never changes, so it is written to media
+//! once, at the first checkpoint after it seals, as two identical
+//! copies (`copy` 0 and 1):
+//!
+//! ```text
+//! magic   b"BMBSEG1\n"                                  (8 bytes)
+//! segment u64le      — sealed segment id                (8)
+//! k       u32le      — item-space size                  (4)
+//! n       u32le      — basket count (= capacity)        (4)
+//! hcrc    u32le      — CRC-32 of the 24 bytes above     (4)
+//! body    (m:u32le  id:u32le{m}) × n  — ingest order
+//! crc     u32le      — CRC-32 of the body               (4)
+//! ```
+//!
+//! The body is [`crate::record::encode_baskets`], so `crc` equals the segment's
+//! anti-entropy [`crate::scrub::SegmentDigest::crc`].
 //!
 //! # Snapshot format (`ckpt.<epoch>`)
 //!
 //! ```text
-//! magic   b"BMBCKPT1"                                   (8 bytes)
+//! magic   b"BMBCKPT2"                                   (8 bytes)
 //! epoch   u64le      — store epoch == total baskets     (8)
 //! k       u32le      — item-space size                  (4)
 //! cap     u32le      — segment capacity                 (4)
-//! n       u64le      — basket count (must equal epoch)  (8)
-//! baskets (m:u32le  id:u32le{m}) × n  — ingest order
+//! s       u64le      — segment files named (epoch/cap)  (8)
+//! crcs    u32le × s  — body CRC of files 0..s           (4 each)
+//! t       u32le      — tail baskets (epoch − s·cap)     (4)
+//! tail    (m:u32le  id:u32le{m}) × t  — ingest order
 //! crc     u32le      — CRC-32 of every preceding byte   (4)
 //! ```
 //!
-//! Baskets are stored in ingest order; restoring re-appends them into a
-//! fresh [`crate::IncrementalStore`], and because segment structure is a
+//! Restoring re-appends segment files `0..s`, then the tail, into a
+//! fresh [`crate::IncrementalStore`]; because segment structure is a
 //! pure function of capacity and basket order, the rebuilt store (and
 //! every chi-squared / border answer over it) is bit-identical to the
-//! store the snapshot was taken from.
+//! store the snapshot was taken from. The whole-store v1 format
+//! (`b"BMBCKPT1"`, epoch, k, cap, `n:u64le`, every basket, CRC) is
+//! still decoded, as a checkpoint that names no segment files.
 //!
 //! # Manifest format (`MANIFEST`)
 //!
@@ -44,17 +67,30 @@
 //! Every file is written via create-temp → write → fsync → atomic
 //! rename → fsync-directory, so a crash at any point leaves either the
 //! old file, the new file, or a stray `*.tmp` that recovery deletes —
-//! never a half-visible checkpoint.
+//! never a half-visible checkpoint. Segment files are written before
+//! the checkpoint that names them.
 
 use std::io;
 
 use crate::item::ItemId;
-use crate::record::crc32;
-use crate::segment::Snapshot;
+use crate::record::{crc32, decode_baskets, encode_baskets};
+use crate::segment::Segment;
 use crate::storage::Dir;
 
-/// Magic bytes opening every checkpoint snapshot file (versioned).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"BMBCKPT1";
+/// Magic bytes opening every checkpoint snapshot file written now.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"BMBCKPT2";
+
+/// Magic bytes of the whole-store v1 snapshot (read, never written).
+pub const CHECKPOINT_V1_MAGIC: &[u8; 8] = b"BMBCKPT1";
+
+/// Magic bytes opening every sealed segment file.
+pub const SEALED_MAGIC: &[u8; 8] = b"BMBSEG1\n";
+
+/// Byte length of a sealed segment file's header (through `hcrc`).
+const SEALED_HEADER_LEN: usize = 28;
+
+/// Identical copies written of every sealed segment file.
+pub const SEALED_COPIES: u8 = 2;
 
 /// Magic bytes opening the checkpoint manifest (versioned).
 pub const MANIFEST_MAGIC: &[u8; 8] = b"BMBMAN1\n";
@@ -80,95 +116,287 @@ pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Serializes a store snapshot to the checkpoint format.
+/// The file name of copy `copy` of sealed segment `id`.
+pub fn sealed_name(id: u64, copy: u8) -> String {
+    format!("sealed.{id:010}.{copy}")
+}
+
+/// Parses a [`sealed_name`]-shaped file name back to its segment id and
+/// copy.
+pub fn parse_sealed_name(name: &str) -> Option<(u64, u8)> {
+    let (digits, copy) = name.strip_prefix("sealed.")?.split_once('.')?;
+    if digits.len() != 10 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let copy = match copy {
+        "0" => 0,
+        "1" => 1,
+        _ => return None,
+    };
+    Some((digits.parse().ok()?, copy))
+}
+
+/// An encoded sealed segment file.
+pub struct SealedFile {
+    /// The whole file.
+    pub bytes: Vec<u8>,
+    /// CRC-32 of the body: what a checkpoint names the file by.
+    pub crc: u32,
+}
+
+/// Encodes `segment` (a sealed segment of a store over `n_items` items)
+/// as a sealed segment file.
+pub fn encode_sealed(segment: &Segment, n_items: usize) -> SealedFile {
+    let items: usize = segment.database().baskets().map(<[ItemId]>::len).sum();
+    let mut bytes = Vec::with_capacity(SEALED_HEADER_LEN + 4 * segment.len() + 4 * items + 4);
+    bytes.extend_from_slice(SEALED_MAGIC);
+    bytes.extend_from_slice(&segment.id().to_le_bytes());
+    bytes.extend_from_slice(&(n_items as u32).to_le_bytes());
+    bytes.extend_from_slice(&(segment.len() as u32).to_le_bytes());
+    let hcrc = crc32(&bytes);
+    bytes.extend_from_slice(&hcrc.to_le_bytes());
+    encode_baskets(&mut bytes, segment.database().baskets());
+    let crc = crc32(&bytes[SEALED_HEADER_LEN..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    SealedFile { bytes, crc }
+}
+
+/// A decoded, structurally valid sealed segment file.
+#[derive(Debug)]
+pub struct SealedData {
+    /// The segment id the header names.
+    pub id: u64,
+    /// The item-space size the header names.
+    pub n_items: usize,
+    /// CRC-32 of the body.
+    pub crc: u32,
+    /// The segment's baskets, in ingest order.
+    pub baskets: Vec<Vec<ItemId>>,
+}
+
+/// Decodes and validates a sealed segment file on its own terms: magic,
+/// header CRC, body CRC, every id inside the header's item space, and
+/// exact byte consumption. Whether it is the file a checkpoint expects
+/// (id, CRC, geometry) is the caller's check.
+///
+/// # Errors
+///
+/// A one-line damage description.
+pub fn decode_sealed(bytes: &[u8]) -> Result<SealedData, String> {
+    if bytes.len() < SEALED_HEADER_LEN + 4 {
+        return Err(format!("truncated segment file ({} bytes)", bytes.len()));
+    }
+    if &bytes[..8] != SEALED_MAGIC {
+        return Err("bad segment file magic".to_string());
+    }
+    if crc32(&bytes[..24]) != read_u32(bytes, 24) {
+        return Err("segment file header CRC mismatch".to_string());
+    }
+    let body_end = bytes.len() - 4;
+    let body = &bytes[SEALED_HEADER_LEN..body_end];
+    let (stored, crc) = (read_u32(bytes, body_end), crc32(body));
+    if stored != crc {
+        return Err(format!(
+            "segment file CRC mismatch (stored {stored:#010x}, computed {crc:#010x})"
+        ));
+    }
+    let n_items = read_u32(bytes, 16) as usize;
+    let n = read_u32(bytes, 20);
+    match decode_baskets(body, u64::from(n), Some(n_items)) {
+        Some((baskets, used)) if used == body.len() => Ok(SealedData {
+            id: read_u64(bytes, 8),
+            n_items,
+            crc,
+            baskets,
+        }),
+        Some(_) => Err("trailing bytes after the basket table".to_string()),
+        None => Err("basket table truncated or names an out-of-range item".to_string()),
+    }
+}
+
+/// Decodes one copy of sealed segment file `id` as a checkpoint naming
+/// it expects it: a structurally valid file ([`decode_sealed`])
+/// carrying that id, body CRC `crc`, item space `n_items` and
+/// `capacity` baskets. Returns the baskets.
+///
+/// # Errors
+///
+/// A one-line damage description.
+pub fn verify_sealed_bytes(
+    bytes: &[u8],
+    id: u64,
+    crc: u32,
+    n_items: usize,
+    capacity: usize,
+) -> Result<Vec<Vec<ItemId>>, String> {
+    let data = decode_sealed(bytes)?;
+    if data.id != id {
+        return Err(format!("names segment {} instead of {id}", data.id));
+    }
+    if data.crc != crc {
+        return Err(format!(
+            "body CRC {:#010x} is not the {crc:#010x} the checkpoint names",
+            data.crc
+        ));
+    }
+    if data.n_items != n_items || data.baskets.len() != capacity {
+        return Err(format!(
+            "holds {} baskets over {} items, expected {capacity} over {n_items}",
+            data.baskets.len(),
+            data.n_items
+        ));
+    }
+    Ok(data.baskets)
+}
+
+/// Reads sealed segment `id` for a checkpoint naming it with body CRC
+/// `crc`: copy 0, and copy 1 only when copy 0 is missing or fails. Returns
+/// the baskets and whether copy 0 served them; `None` when both fail.
+pub(crate) fn read_sealed(
+    dir: &mut dyn Dir,
+    id: u64,
+    crc: u32,
+    n_items: usize,
+    cap: usize,
+) -> Option<(Vec<Vec<ItemId>>, bool)> {
+    (0..SEALED_COPIES).find_map(|copy| {
+        let bytes = dir.open(&sealed_name(id, copy)).ok()?.read_all().ok()?;
+        let baskets = verify_sealed_bytes(&bytes, id, crc, n_items, cap).ok()?;
+        Some((baskets, copy == 0))
+    })
+}
+
+/// Serializes a checkpoint at `epoch`: the body CRCs of the sealed
+/// segment files `0..segments.len()` it names, then the `tail` baskets
+/// past them.
 ///
 /// `segment_capacity` is recorded so recovery can reject a snapshot
 /// taken under a different sealing geometry (its rebuilt segments would
 /// not match the WAL's epoch fences).
-pub fn encode_snapshot(snap: &Snapshot, segment_capacity: usize) -> Vec<u8> {
-    let n_items_total: usize = snap
-        .segments()
-        .map(|s| s.database().baskets().map(<[ItemId]>::len).sum::<usize>())
-        .sum();
-    let mut out = Vec::with_capacity(36 + 4 * snap.n_baskets() + 4 * n_items_total);
+pub fn encode_checkpoint<'a>(
+    epoch: u64,
+    n_items: usize,
+    segment_capacity: usize,
+    segments: &[u32],
+    tail: impl IntoIterator<Item = &'a [ItemId]>,
+) -> Vec<u8> {
+    let t = epoch - (segments.len() * segment_capacity) as u64;
+    let mut out = Vec::with_capacity(44 + 4 * segments.len());
     out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.extend_from_slice(&snap.epoch().to_le_bytes());
-    out.extend_from_slice(&(snap.n_items() as u32).to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&(n_items as u32).to_le_bytes());
     out.extend_from_slice(&(segment_capacity as u32).to_le_bytes());
-    out.extend_from_slice(&(snap.n_baskets() as u64).to_le_bytes());
-    for segment in snap.segments() {
-        for basket in segment.database().baskets() {
-            out.extend_from_slice(&(basket.len() as u32).to_le_bytes());
-            for item in basket {
-                out.extend_from_slice(&item.0.to_le_bytes());
-            }
-        }
+    out.extend_from_slice(&(segments.len() as u64).to_le_bytes());
+    for crc in segments {
+        out.extend_from_slice(&crc.to_le_bytes());
     }
+    out.extend_from_slice(&(t as u32).to_le_bytes());
+    encode_baskets(&mut out, tail);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// A decoded, validated checkpoint.
+/// A decoded, structurally valid checkpoint.
 #[derive(Debug)]
 pub struct CheckpointData {
     /// The store epoch the snapshot was taken at.
     pub epoch: u64,
-    /// Every basket up to that epoch, in ingest order.
+    /// The item-space size it records.
+    pub n_items: usize,
+    /// The segment capacity it records.
+    pub segment_capacity: usize,
+    /// Body CRCs of the sealed segment files `0..` it names (none for a
+    /// v1 checkpoint).
+    pub segments: Vec<u32>,
+    /// The baskets past those files, in ingest order: the tail (v1:
+    /// every basket).
     pub baskets: Vec<Vec<ItemId>>,
 }
 
-/// Decodes and validates a checkpoint file.
+/// Decodes and validates a checkpoint file (v2, or the v1 whole-store
+/// format) on its own terms: magic, CRC, a basket count that adds up to
+/// the epoch, every id inside the recorded item space, and exact byte
+/// consumption. Whether it fits the store (epoch, geometry) is the
+/// caller's check; recovery treats any `Err` as "try the next-older
+/// candidate".
 ///
-/// Returns `None` — never panics, never a partial result — when the
-/// bytes are not a checkpoint this store can restore: wrong magic or
-/// version, failed CRC, a different item space or segment capacity, an
-/// epoch/basket-count mismatch, an out-of-range item id, or trailing
-/// garbage. Recovery treats `None` as "try the next-older candidate".
-pub fn decode_checkpoint(
-    bytes: &[u8],
-    n_items: usize,
-    segment_capacity: usize,
-) -> Option<CheckpointData> {
-    if bytes.len() < 36 || &bytes[..8] != CHECKPOINT_MAGIC {
-        return None;
+/// # Errors
+///
+/// A one-line damage description. Never panics, never a partial result.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, String> {
+    let v1 = bytes.get(..8) == Some(CHECKPOINT_V1_MAGIC.as_slice());
+    if !v1 && bytes.get(..8) != Some(CHECKPOINT_MAGIC.as_slice()) {
+        return Err("bad checkpoint magic".to_string());
+    }
+    if bytes.len() < 36 {
+        return Err(format!("truncated checkpoint ({} bytes)", bytes.len()));
     }
     let body_end = bytes.len() - 4;
-    let crc = u32::from_le_bytes(bytes[body_end..].try_into().ok()?);
-    if crc32(&bytes[..body_end]) != crc {
-        return None;
+    let (stored, actual) = (read_u32(bytes, body_end), crc32(&bytes[..body_end]));
+    if stored != actual {
+        return Err(format!(
+            "checkpoint CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        ));
     }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let k = u32::from_le_bytes(bytes[16..20].try_into().ok()?);
-    let cap = u32::from_le_bytes(bytes[20..24].try_into().ok()?);
-    let n = u64::from_le_bytes(bytes[24..32].try_into().ok()?);
-    if k as usize != n_items || cap as usize != segment_capacity || n != epoch {
-        return None;
-    }
-    let body = &bytes[32..body_end];
-    let mut pos = 0usize;
-    // Capacity hints are clamped by the body size so a corrupt count
-    // that slipped past the CRC cannot drive a huge allocation.
-    let cap_bound = body.len() / 4;
-    let mut baskets = Vec::with_capacity(usize::try_from(n).ok()?.min(cap_bound));
-    for _ in 0..n {
-        let m = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let mut basket = Vec::with_capacity(m.min(cap_bound));
-        for _ in 0..m {
-            let id = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?);
-            pos += 4;
-            if id as usize >= n_items {
-                return None;
-            }
-            basket.push(ItemId(id));
+    let epoch = read_u64(bytes, 8);
+    let n_items = read_u32(bytes, 16) as usize;
+    let segment_capacity = read_u32(bytes, 20) as usize;
+    let (segments, n, table) = if v1 {
+        (Vec::new(), read_u64(bytes, 24), 32)
+    } else {
+        let s = read_u64(bytes, 24);
+        let tail_at = usize::try_from(s)
+            .ok()
+            .and_then(|s| s.checked_mul(4))
+            .and_then(|len| len.checked_add(32))
+            .filter(|&at| at + 4 <= body_end)
+            .ok_or_else(|| format!("segment list of {s} entries overruns the file"))?;
+        let segments = bytes[32..tail_at]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect::<Vec<u32>>();
+        let t = u64::from(read_u32(bytes, tail_at));
+        let covered = s.checked_mul(segment_capacity as u64);
+        if t >= segment_capacity.max(1) as u64
+            || covered.and_then(|c| c.checked_add(t)) != Some(epoch)
+        {
+            return Err(format!(
+                "{s} segment files and a {t}-basket tail do not add up to epoch {epoch}"
+            ));
         }
-        baskets.push(basket);
+        (segments, t, tail_at + 4)
+    };
+    if v1 && n != epoch {
+        return Err(format!("record count {n} disagrees with epoch {epoch}"));
     }
-    if pos != body.len() {
-        return None;
+    let body = &bytes[table..body_end];
+    match decode_baskets(body, n, Some(n_items)) {
+        Some((baskets, used)) if used == body.len() => Ok(CheckpointData {
+            epoch,
+            n_items,
+            segment_capacity,
+            segments,
+            baskets,
+        }),
+        Some((_, used)) => Err(format!(
+            "{} trailing bytes after basket table",
+            body.len() - used
+        )),
+        None => Err("basket table truncated or names an out-of-range item".to_string()),
     }
-    Some(CheckpointData { epoch, baskets })
+}
+
+/// Little-endian `u32` at `at`; callers bound-check first.
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+}
+
+/// Little-endian `u64` at `at`; callers bound-check first.
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(raw)
 }
 
 /// Serializes the manifest: checkpoint epochs, ascending.
@@ -273,13 +501,50 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_bit_identically() {
+    fn sealed_names_round_trip() {
+        assert_eq!(sealed_name(3, 1), "sealed.0000000003.1");
+        assert_eq!(parse_sealed_name("sealed.0000000003.1"), Some((3, 1)));
+        assert_eq!(
+            parse_sealed_name(&sealed_name(u64::from(u32::MAX), 0)).map(|p| p.1),
+            Some(0)
+        );
+        assert_eq!(parse_sealed_name("sealed.0000000003.2"), None, "copy");
+        assert_eq!(parse_sealed_name("sealed.3.0"), None, "unpadded");
+        assert_eq!(parse_sealed_name("sealed.0000000003.0.tmp"), None);
+        assert_eq!(parse_sealed_name(&checkpoint_name(3)), None);
+    }
+
+    /// The sealed files and the checkpoint a store at `snap` writes.
+    fn encode_all(snap: &crate::Snapshot) -> (Vec<SealedFile>, Vec<u8>) {
+        let files: Vec<SealedFile> = snap
+            .sealed_segments()
+            .iter()
+            .map(|s| encode_sealed(s, snap.n_items()))
+            .collect();
+        let crcs: Vec<u32> = files.iter().map(|f| f.crc).collect();
+        let tail = snap.tail_segment().map(|t| t.database().baskets());
+        let ckpt = encode_checkpoint(
+            snap.epoch(),
+            snap.n_items(),
+            4,
+            &crcs,
+            tail.into_iter().flatten(),
+        );
+        (files, ckpt)
+    }
+
+    #[test]
+    fn checkpoint_and_segment_files_round_trip_bit_identically() {
         let store = store_with(11);
         let snap = store.snapshot();
-        let bytes = encode_snapshot(&snap, 4);
-        let data = decode_checkpoint(&bytes, 8, 4).expect("valid checkpoint");
-        assert_eq!(data.epoch, 11);
-        assert_eq!(data.baskets.len(), 11);
+        let (files, bytes) = encode_all(&snap);
+        let data = decode_checkpoint(&bytes).expect("valid checkpoint");
+        assert_eq!(
+            (data.epoch, data.n_items, data.segment_capacity),
+            (11, 8, 4)
+        );
+        assert_eq!(data.segments.len(), 2, "11 baskets at capacity 4 seal two");
+        assert_eq!(data.baskets.len(), 3, "the tail only");
 
         // Restoring by re-append reproduces the exact segment structure.
         let restored = IncrementalStore::new(
@@ -288,6 +553,10 @@ mod tests {
                 segment_capacity: 4,
             },
         );
+        for (id, (file, &crc)) in files.iter().zip(&data.segments).enumerate() {
+            let baskets = verify_sealed_bytes(&file.bytes, id as u64, crc, 8, 4).expect("file");
+            restored.append_batch(baskets).unwrap();
+        }
         restored.append_batch(data.baskets).unwrap();
         let rsnap = restored.snapshot();
         assert_eq!(rsnap.epoch(), snap.epoch());
@@ -300,39 +569,86 @@ mod tests {
             let set = Itemset::from_ids([i]);
             assert_eq!(rsnap.support(set.items()), snap.support(set.items()));
         }
+        // A file is only the file a checkpoint expects under its id, CRC
+        // and geometry.
+        let first = &files[0];
+        assert!(
+            verify_sealed_bytes(&first.bytes, 1, first.crc, 8, 4).is_err(),
+            "id"
+        );
+        assert!(
+            verify_sealed_bytes(&first.bytes, 0, first.crc ^ 1, 8, 4).is_err(),
+            "crc"
+        );
+        assert!(
+            verify_sealed_bytes(&first.bytes, 0, first.crc, 9, 4).is_err(),
+            "items"
+        );
+        assert!(
+            verify_sealed_bytes(&first.bytes, 0, first.crc, 8, 5).is_err(),
+            "capacity"
+        );
     }
 
     #[test]
-    fn empty_snapshot_round_trips() {
+    fn empty_checkpoint_round_trips() {
         let store = store_with(0);
-        let bytes = encode_snapshot(&store.snapshot(), 4);
-        let data = decode_checkpoint(&bytes, 8, 4).expect("valid");
+        let (files, bytes) = encode_all(&store.snapshot());
+        assert!(files.is_empty());
+        let data = decode_checkpoint(&bytes).expect("valid");
         assert_eq!(data.epoch, 0);
-        assert!(data.baskets.is_empty());
+        assert!(data.segments.is_empty() && data.baskets.is_empty());
     }
 
     #[test]
-    fn damaged_checkpoints_are_rejected() {
+    fn v1_whole_store_checkpoints_still_decode() {
         let store = store_with(6);
-        let bytes = encode_snapshot(&store.snapshot(), 4);
-        assert!(decode_checkpoint(&bytes, 8, 4).is_some(), "baseline valid");
+        let snap = store.snapshot();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CHECKPOINT_V1_MAGIC);
+        bytes.extend_from_slice(&6u64.to_le_bytes());
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&6u64.to_le_bytes());
+        encode_baskets(
+            &mut bytes,
+            snap.segments().flat_map(|s| s.database().baskets()),
+        );
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        let data = decode_checkpoint(&bytes).expect("v1 decodes");
+        assert_eq!(data.epoch, 6);
+        assert!(data.segments.is_empty(), "v1 names no segment files");
+        assert_eq!(data.baskets, snap.baskets_range(0, 6));
+    }
 
+    #[test]
+    fn damaged_checkpoints_and_segment_files_are_rejected() {
+        let store = store_with(6);
+        let (files, bytes) = encode_all(&store.snapshot());
+        assert!(decode_checkpoint(&bytes).is_ok(), "baseline valid");
         // Any single bit flip fails the CRC (or the magic check).
-        for idx in [0usize, 9, 20, bytes.len() / 2, bytes.len() - 1] {
+        for idx in [0usize, 9, 20, 30, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[idx] ^= 0x40;
             assert!(
-                decode_checkpoint(&bad, 8, 4).is_none(),
+                decode_checkpoint(&bad).is_err(),
                 "flip at {idx} must invalidate"
             );
         }
         // Truncation fails.
-        assert!(decode_checkpoint(&bytes[..bytes.len() - 5], 8, 4).is_none());
-        assert!(decode_checkpoint(&bytes[..10], 8, 4).is_none());
-        assert!(decode_checkpoint(b"", 8, 4).is_none());
-        // Mismatched geometry fails even with an intact CRC.
-        assert!(decode_checkpoint(&bytes, 9, 4).is_none(), "item space");
-        assert!(decode_checkpoint(&bytes, 8, 5).is_none(), "capacity");
+        assert!(decode_checkpoint(&bytes[..bytes.len() - 5]).is_err());
+        assert!(decode_checkpoint(&bytes[..10]).is_err());
+        assert!(decode_checkpoint(b"").is_err());
+
+        let file = &files[0].bytes;
+        assert!(decode_sealed(file).is_ok(), "baseline valid");
+        for idx in 0..file.len() {
+            let mut bad = file.clone();
+            bad[idx] ^= 0x01;
+            assert!(decode_sealed(&bad).is_err(), "segment file flip at {idx}");
+        }
+        assert!(decode_sealed(&file[..file.len() - 1]).is_err(), "torn");
     }
 
     #[test]

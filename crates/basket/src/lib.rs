@@ -34,7 +34,8 @@
 pub mod bitmap;
 /// Multinomial (non-binary) attributes generalized from presence/absence.
 pub mod categorical;
-/// Checkpoint snapshots and the checkpoint manifest (bounded recovery).
+/// Checkpoint snapshots, sealed segment files and the checkpoint
+/// manifest (bounded recovery).
 pub mod checkpoint;
 /// Dense and sparse presence/absence contingency tables.
 pub mod contingency;
@@ -58,7 +59,10 @@ pub mod storage;
 pub mod wal;
 
 pub use bitmap::BitmapIndex;
-pub use checkpoint::{checkpoint_name, parse_checkpoint_name, MANIFEST_NAME};
+pub use checkpoint::{
+    checkpoint_name, parse_checkpoint_name, parse_sealed_name, sealed_name, verify_sealed_bytes,
+    MANIFEST_NAME,
+};
 pub use contingency::{
     cell_mask_of, CellMask, ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS,
 };

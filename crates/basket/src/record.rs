@@ -4,7 +4,9 @@
 //! # Format
 //!
 //! ```text
-//! segment := b"BMBWAL2\n"  base_epoch:u64le  record*
+//! segment := header  record*
+//! header  := b"BMBWAL3\0"  base_epoch:u64le  hcrc:u32le  (v3; hcrc = CRC32 of the 16 bytes before it)
+//!          | b"BMBWAL2\n"  base_epoch:u64le              (v2: read, never written)
 //! record  := len:u32le  crc:u32le  payload[len]      (crc = CRC32 of payload)
 //! payload := 0x01  n:u32le  (m:u32le  id:u32le{m}){n}   — a basket batch
 //!          | 0x02  epoch:u64le                          — an epoch fence
@@ -25,10 +27,20 @@
 use crate::item::ItemId;
 use crate::wal::WalError;
 
-/// Magic bytes opening every WAL segment.
+/// Magic bytes opening every WAL segment written now (v3). It differs
+/// from [`WAL2_MAGIC`] in two bytes, so no single damaged byte turns a
+/// v3 header into a v2 one.
+pub const WAL3_MAGIC: &[u8; 8] = b"BMBWAL3\0";
+
+/// Byte length of a v3 segment header (magic + `base_epoch:u64le` +
+/// CRC-32 of both).
+pub const WAL3_HEADER_LEN: usize = 20;
+
+/// Magic bytes opening a v2 segment (no header CRC); still read, so
+/// directories written before v3 recover.
 pub const WAL2_MAGIC: &[u8; 8] = b"BMBWAL2\n";
 
-/// Byte length of a segment header (magic + `base_epoch:u64le`).
+/// Byte length of a v2 segment header (magic + `base_epoch:u64le`).
 pub const WAL2_HEADER_LEN: usize = 16;
 
 /// Upper bound on a single record's payload. The walker treats a length
@@ -101,32 +113,57 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Encodes a segment header for a segment starting at `base_epoch`.
+/// A parsed segment header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SegmentHeader {
+    /// The store epoch before the segment's first record.
+    pub(crate) base_epoch: u64,
+    /// Header length in bytes: where the first record starts.
+    pub(crate) len: usize,
+}
+
+/// Encodes a v3 segment header for a segment starting at `base_epoch`.
 pub(crate) fn segment_header(base_epoch: u64) -> Vec<u8> {
-    let mut header = Vec::with_capacity(WAL2_HEADER_LEN);
-    header.extend_from_slice(WAL2_MAGIC);
+    let mut header = Vec::with_capacity(WAL3_HEADER_LEN);
+    header.extend_from_slice(WAL3_MAGIC);
     header.extend_from_slice(&base_epoch.to_le_bytes());
+    let crc = crc32(&header);
+    header.extend_from_slice(&crc.to_le_bytes());
     header
 }
 
-/// Parses a segment header, returning its `base_epoch`; `None` when the
-/// bytes are too short or carry the wrong magic.
-pub(crate) fn parse_segment_header(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < WAL2_HEADER_LEN || &bytes[..8] != WAL2_MAGIC {
-        return None;
+/// Parses a v3 or v2 segment header; `None` when the bytes are too
+/// short, carry neither magic, or fail the v3 header CRC — so a damaged
+/// v3 base epoch is never read as one.
+pub(crate) fn parse_segment_header(bytes: &[u8]) -> Option<SegmentHeader> {
+    let magic = bytes.get(..8)?;
+    let base =
+        |bytes: &[u8]| -> Option<u64> { bytes.get(8..16)?.try_into().ok().map(u64::from_le_bytes) };
+    if magic == WAL3_MAGIC {
+        let stored = u32::from_le_bytes(bytes.get(16..WAL3_HEADER_LEN)?.try_into().ok()?);
+        (crc32(&bytes[..16]) == stored).then_some(SegmentHeader {
+            base_epoch: base(bytes)?,
+            len: WAL3_HEADER_LEN,
+        })
+    } else if magic == WAL2_MAGIC {
+        Some(SegmentHeader {
+            base_epoch: base(bytes)?,
+            len: WAL2_HEADER_LEN,
+        })
+    } else {
+        None
     }
-    bytes
-        .get(8..16)
-        .and_then(|raw| raw.try_into().ok())
-        .map(u64::from_le_bytes)
 }
 
 /// True when `bytes` are a strict prefix of a segment header: all a
 /// rotation that crashed before its header became durable can leave
 /// behind, since the header is synced before any record is written.
 pub(crate) fn is_torn_header(bytes: &[u8]) -> bool {
-    let magic = bytes.len().min(WAL2_MAGIC.len());
-    bytes.len() < WAL2_HEADER_LEN && bytes[..magic] == WAL2_MAGIC[..magic]
+    let prefix_of = |magic: &[u8; 8], len: usize| {
+        let shown = bytes.len().min(magic.len());
+        bytes.len() < len && bytes[..shown] == magic[..shown]
+    };
+    prefix_of(WAL3_MAGIC, WAL3_HEADER_LEN) || prefix_of(WAL2_MAGIC, WAL2_HEADER_LEN)
 }
 
 /// Appends one framed record (`len:u32le crc:u32le payload`) to `out`.
@@ -136,18 +173,53 @@ pub(crate) fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// The one canonical basket encoding, `(m:u32le id:u32le{m})` per
+/// basket in order, appended to `out`. WAL batch payloads, segment-file
+/// bodies, checkpoint tails and the anti-entropy digests all use it.
+pub fn encode_baskets<'a>(out: &mut Vec<u8>, baskets: impl IntoIterator<Item = &'a [ItemId]>) {
+    for basket in baskets {
+        out.extend_from_slice(&(basket.len() as u32).to_le_bytes());
+        for item in basket {
+            out.extend_from_slice(&item.0.to_le_bytes());
+        }
+    }
+}
+
+/// Decodes `n` baskets in the [`encode_baskets`] encoding from the
+/// front of `bytes`; returns them and the bytes consumed. `None` when
+/// the bytes run out, or when `n_items` is given and an id is not
+/// below it. Capacity hints are clamped by the byte count, so a corrupt
+/// count cannot drive a huge allocation.
+pub(crate) fn decode_baskets(
+    bytes: &[u8],
+    n: u64,
+    n_items: Option<usize>,
+) -> Option<(Vec<Vec<ItemId>>, usize)> {
+    let cap_bound = bytes.len() / 4;
+    let mut cur = Cursor { bytes, pos: 0 };
+    let mut baskets = Vec::with_capacity(usize::try_from(n).ok()?.min(cap_bound));
+    for _ in 0..n {
+        let m = cur.u32()? as usize;
+        let mut basket = Vec::with_capacity(m.min(cap_bound));
+        for _ in 0..m {
+            let id = cur.u32()?;
+            if n_items.is_some_and(|k| id as usize >= k) {
+                return None;
+            }
+            basket.push(ItemId(id));
+        }
+        baskets.push(basket);
+    }
+    Some((baskets, cur.pos))
+}
+
 /// Encodes a basket batch payload.
 pub(crate) fn encode_batch(baskets: &[Vec<ItemId>]) -> Vec<u8> {
     let items: usize = baskets.iter().map(Vec::len).sum();
     let mut payload = Vec::with_capacity(5 + 4 * baskets.len() + 4 * items);
     payload.push(KIND_BATCH);
     payload.extend_from_slice(&(baskets.len() as u32).to_le_bytes());
-    for basket in baskets {
-        payload.extend_from_slice(&(basket.len() as u32).to_le_bytes());
-        for item in basket {
-            payload.extend_from_slice(&item.0.to_le_bytes());
-        }
-    }
+    encode_baskets(&mut payload, baskets.iter().map(Vec::as_slice));
     payload
 }
 
@@ -211,20 +283,10 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
     };
     match cur.u8()? {
         KIND_BATCH => {
-            // Capacity hints are clamped by the payload size so a
-            // corrupt count cannot drive a huge allocation.
-            let cap_bound = payload.len() / 4;
             let n = cur.u32()?;
-            let mut baskets = Vec::with_capacity((n as usize).min(cap_bound));
-            for _ in 0..n {
-                let m = cur.u32()?;
-                let mut basket = Vec::with_capacity((m as usize).min(cap_bound));
-                for _ in 0..m {
-                    basket.push(ItemId(cur.u32()?));
-                }
-                baskets.push(basket);
-            }
-            cur.at_end().then_some(Record::Batch(baskets))
+            let body = &payload[cur.pos..];
+            let (baskets, used) = decode_baskets(body, u64::from(n), None)?;
+            (used == body.len()).then_some(Record::Batch(baskets))
         }
         KIND_FENCE => {
             let epoch = cur.u64()?;
@@ -387,12 +449,12 @@ pub(crate) struct Frames<'a> {
 
 impl<'a> Frames<'a> {
     /// Walks the records of `segment`, whose header (already parsed by
-    /// the caller) names `base_epoch`.
-    pub(crate) fn new(segment: &'a [u8], base_epoch: u64) -> Frames<'a> {
+    /// the caller) is `header`.
+    pub(crate) fn new(segment: &'a [u8], header: SegmentHeader) -> Frames<'a> {
         Frames {
             bytes: segment,
-            pos: WAL2_HEADER_LEN,
-            epoch: base_epoch,
+            pos: header.len,
+            epoch: header.base_epoch,
             stop: None,
         }
     }
@@ -521,11 +583,12 @@ pub struct WalInspection {
 ///
 /// # Errors
 ///
-/// [`WalError::NotAWal`] when the bytes neither carry the segment magic
-/// nor are a torn prefix of a segment header.
+/// [`WalError::NotAWal`] when the bytes neither start with a valid
+/// segment header (magic, and for v3 the header CRC) nor are a torn
+/// prefix of one.
 pub fn inspect_wal_bytes(bytes: &[u8]) -> Result<WalInspection, WalError> {
     let total_bytes = bytes.len() as u64;
-    let Some(base) = parse_segment_header(bytes) else {
+    let Some(header) = parse_segment_header(bytes) else {
         if !is_torn_header(bytes) {
             return Err(WalError::NotAWal);
         }
@@ -537,12 +600,12 @@ pub fn inspect_wal_bytes(bytes: &[u8]) -> Result<WalInspection, WalError> {
             valid_bytes: total_bytes,
             total_bytes,
             diagnosis: format!(
-                "torn segment header: {} of {WAL2_HEADER_LEN} header bytes (crashed rotation)",
+                "torn segment header: {} of {WAL3_HEADER_LEN} header bytes (crashed rotation)",
                 bytes.len()
             ),
         });
     };
-    let mut frames = Frames::new(bytes, base);
+    let mut frames = Frames::new(bytes, header);
     let mut records: Vec<InspectedRecord> = frames
         .by_ref()
         .map(|frame| {
@@ -573,7 +636,7 @@ pub fn inspect_wal_bytes(bytes: &[u8]) -> Result<WalInspection, WalError> {
         None => String::from("clean"),
     };
     Ok(WalInspection {
-        base_epoch: Some(base),
+        base_epoch: Some(header.base_epoch),
         records,
         end_epoch: frames.epoch(),
         valid_bytes: frames.offset() as u64,

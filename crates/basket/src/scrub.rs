@@ -11,7 +11,8 @@
 //!
 //! [`DurableStore::scrub_pass`] walks the durable artifacts of a
 //! store — the `GEN` fencing record, the `MANIFEST`,
-//! every checkpoint the manifest tracks, and every *sealed* WAL
+//! every checkpoint the manifest tracks, both copies of every sealed
+//! segment file the checkpoints name, and every *sealed* WAL
 //! segment — re-verifying magic headers, CRCs, epoch fields, and
 //! segment base-epoch chain consistency. The pass is read-only until it
 //! finds damage and paces itself with a per-tick byte budget
@@ -26,6 +27,9 @@
 //! * `GEN` / `MANIFEST` / checkpoints are moved aside
 //!   (sync-before-rename) and re-cut from the live store, which holds
 //!   the full acknowledged history in memory.
+//! * A damaged copy of a sealed segment file is quarantined by durable
+//!   copy and replaced in place by re-encoding the live sealed segment
+//!   (its CRC must match the one the checkpoints name).
 //! * A sealed WAL segment is rebuilt from the epoch range it must
 //!   cover: from a configured [`RepairPeer`] (the existing
 //!   `replicate_pull` protocol, stamped with this node's generation so
@@ -48,20 +52,20 @@
 //! primaries and followers with identical logical history agree even
 //! though their WAL framing differs.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::time::Instant;
 
 use bmb_obs::{Counter, Histogram, Registry, Severity};
 
 use crate::checkpoint::{
-    checkpoint_name, decode_manifest, encode_manifest, encode_snapshot, parse_checkpoint_name,
-    write_atomic, CHECKPOINT_MAGIC, MANIFEST_NAME,
+    checkpoint_name, decode_checkpoint, decode_manifest, encode_checkpoint, encode_manifest,
+    encode_sealed, parse_checkpoint_name, sealed_name, verify_sealed_bytes, write_atomic,
+    CheckpointData, MANIFEST_NAME, SEALED_COPIES,
 };
 use crate::item::ItemId;
-use crate::record::{
-    crc32, encode_batch, encode_fence, frame_into, inspect_wal_bytes, segment_header,
-};
-use crate::segment::{IncrementalStore, Snapshot, StoreConfig};
+use crate::record::{encode_batch, encode_fence, frame_into, inspect_wal_bytes, segment_header};
+use crate::segment::Snapshot;
 use crate::storage::Dir;
 use crate::wal::{
     decode_generation, encode_generation, lock, parse_segment_name, segment_name, CkptState,
@@ -133,7 +137,8 @@ pub struct SegmentDigest {
     /// Store epoch after the segment's last basket.
     pub end_epoch: u64,
     /// CRC32 over the canonical basket encoding (`len:u32le` +
-    /// `id:u32le`s per basket, ingest order).
+    /// `id:u32le`s per basket, ingest order): the body CRC of the
+    /// segment's sealed segment file.
     pub crc: u32,
 }
 
@@ -150,17 +155,10 @@ pub fn segment_digests(snapshot: &Snapshot, from_epoch: u64) -> Vec<SegmentDiges
         if end <= from_epoch {
             continue;
         }
-        let mut buf = Vec::new();
-        for basket in segment.database().baskets() {
-            buf.extend_from_slice(&(basket.len() as u32).to_le_bytes());
-            for item in basket {
-                buf.extend_from_slice(&item.0.to_le_bytes());
-            }
-        }
         out.push(SegmentDigest {
             segment: segment.id(),
             end_epoch: end,
-            crc: crc32(&buf),
+            crc: encode_sealed(segment, snapshot.n_items()).crc,
         });
     }
     out
@@ -223,7 +221,9 @@ pub fn verify_manifest_bytes(bytes: &[u8]) -> Result<Vec<u64>, String> {
 /// name claims, and — when the store geometry is known — against the
 /// expected item-space size and segment capacity. Walks the basket
 /// table to the exact end of the body, so truncation and padding are
-/// caught even when the CRC was forged along with the data.
+/// caught even when the CRC was forged along with the data. Returns
+/// the decoded checkpoint, whose segment list names the sealed segment
+/// files it needs.
 ///
 /// # Errors
 ///
@@ -232,84 +232,29 @@ pub fn verify_checkpoint_bytes(
     name_epoch: u64,
     bytes: &[u8],
     geometry: Option<(usize, usize)>,
-) -> Result<(), String> {
-    if bytes.len() < 36 {
-        return Err(format!("truncated checkpoint ({} bytes)", bytes.len()));
-    }
-    if &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err("bad checkpoint magic".to_string());
-    }
-    let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[body_end],
-        bytes[body_end + 1],
-        bytes[body_end + 2],
-        bytes[body_end + 3],
-    ]);
-    let actual = crc32(&bytes[..body_end]);
-    if stored != actual {
+) -> Result<CheckpointData, String> {
+    let data = decode_checkpoint(bytes)?;
+    if data.epoch != name_epoch {
         return Err(format!(
-            "checkpoint CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+            "epoch field {} disagrees with file name epoch {name_epoch}",
+            data.epoch
         ));
-    }
-    let read_u64 = |at: usize| {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[at..at + 8]);
-        u64::from_le_bytes(raw)
-    };
-    let read_u32 = |at: usize| {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&bytes[at..at + 4]);
-        u32::from_le_bytes(raw)
-    };
-    let epoch = read_u64(8);
-    if epoch != name_epoch {
-        return Err(format!(
-            "epoch field {epoch} disagrees with file name epoch {name_epoch}"
-        ));
-    }
-    let k = read_u32(16) as u64;
-    let cap = read_u32(20);
-    let n = read_u64(24);
-    if n != epoch {
-        return Err(format!("record count {n} disagrees with epoch {epoch}"));
     }
     if let Some((n_items, capacity)) = geometry {
-        if k != n_items as u64 {
+        if data.n_items != n_items {
             return Err(format!(
-                "item space {k} disagrees with store geometry {n_items}"
+                "item space {} disagrees with store geometry {n_items}",
+                data.n_items
             ));
         }
-        if cap as usize != capacity {
+        if data.segment_capacity != capacity {
             return Err(format!(
-                "segment capacity {cap} disagrees with store geometry {capacity}"
+                "segment capacity {} disagrees with store geometry {capacity}",
+                data.segment_capacity
             ));
         }
     }
-    let mut pos = 32usize;
-    for index in 0..n {
-        if pos + 4 > body_end {
-            return Err(format!("basket table truncated at basket {index}"));
-        }
-        let m = read_u32(pos) as usize;
-        pos += 4;
-        if pos + 4 * m > body_end {
-            return Err(format!("basket {index} items truncated"));
-        }
-        for slot in 0..m {
-            if u64::from(read_u32(pos + 4 * slot)) >= k {
-                return Err(format!("basket {index} names an out-of-range item"));
-            }
-        }
-        pos += 4 * m;
-    }
-    if pos != body_end {
-        return Err(format!(
-            "{} trailing bytes after basket table",
-            body_end - pos
-        ));
-    }
-    Ok(())
+    Ok(data)
 }
 
 /// Structurally verifies sealed-segment bytes: segment magic, the expected
@@ -395,6 +340,23 @@ pub struct FsckFinding {
     pub name: String,
     /// A one-line damage description.
     pub detail: String,
+    /// Whether no intact copy of what the artifact holds is left on
+    /// media: set on a checkpoint naming a sealed segment file whose
+    /// copies are both damaged. Every other finding is repairable
+    /// damage — a second copy, an older checkpoint or the WAL still
+    /// holds the data.
+    pub unrecoverable: bool,
+}
+
+impl FsckFinding {
+    /// Repairable damage to `name`.
+    fn damage(name: &str, detail: String) -> FsckFinding {
+        FsckFinding {
+            name: name.to_string(),
+            detail,
+            unrecoverable: false,
+        }
+    }
 }
 
 /// The result of [`fsck_dir`].
@@ -420,10 +382,13 @@ impl FsckReport {
 /// Offline, geometry-free structural verification of a durability
 /// directory: `GEN` record, `MANIFEST` CRC and epoch order,
 /// manifest↔file agreement, every checkpoint's magic/CRC/epoch/basket
-/// table, every WAL segment's record walk, and the segment base-epoch
-/// chain (gaps are only legal when a valid checkpoint covers them).
-/// Read-only: never repairs, renames, or deletes. This is the engine
-/// behind `bmb fsck DIR`.
+/// table, both copies of every sealed segment file a checkpoint names
+/// (against the CRC it names), every WAL segment's record walk, and the
+/// segment base-epoch chain (gaps are only legal when a loadable
+/// checkpoint covers them). A damaged or missing copy is repairable
+/// damage; a checkpoint naming a file whose copies are both bad gets an
+/// [`FsckFinding::unrecoverable`] finding. Read-only: never repairs,
+/// renames, or deletes. This is the engine behind `bmb fsck DIR`.
 ///
 /// Note that a torn tail in the *active* (last) segment is reported as
 /// a finding: run fsck on a cleanly shut down or recovered directory.
@@ -442,85 +407,114 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
             .count() as u64,
         ..FsckReport::default()
     };
-    let read = |dir: &mut dyn Dir, name: &str| -> Result<Vec<u8>, String> {
-        dir.open(name)
-            .and_then(|mut file| file.read_all())
-            .map_err(|e| format!("unreadable: {e}"))
+    // Reads one artifact, counting it; an unreadable one is a finding.
+    let read = |dir: &mut dyn Dir, name: &str, report: &mut FsckReport| {
+        report.artifacts += 1;
+        let bytes = dir.open(name).and_then(|mut file| file.read_all());
+        match bytes {
+            Ok(bytes) => {
+                report.bytes += bytes.len() as u64;
+                Some(bytes)
+            }
+            Err(e) => {
+                let detail = format!("unreadable: {e}");
+                report.findings.push(FsckFinding::damage(name, detail));
+                None
+            }
+        }
     };
 
     if names.iter().any(|n| n == GEN_NAME) {
-        report.artifacts += 1;
-        match read(dir, GEN_NAME) {
-            Ok(bytes) => {
-                report.bytes += bytes.len() as u64;
-                if let Err(detail) = verify_generation_bytes(&bytes) {
-                    report.findings.push(FsckFinding {
-                        name: GEN_NAME.to_string(),
-                        detail,
-                    });
-                }
+        if let Some(bytes) = read(dir, GEN_NAME, &mut report) {
+            if let Err(detail) = verify_generation_bytes(&bytes) {
+                report.findings.push(FsckFinding::damage(GEN_NAME, detail));
             }
-            Err(detail) => report.findings.push(FsckFinding {
-                name: GEN_NAME.to_string(),
-                detail,
-            }),
         }
     }
 
     let mut manifest_epochs: Vec<u64> = Vec::new();
     if names.iter().any(|n| n == MANIFEST_NAME) {
-        report.artifacts += 1;
-        match read(dir, MANIFEST_NAME) {
-            Ok(bytes) => {
-                report.bytes += bytes.len() as u64;
-                match verify_manifest_bytes(&bytes) {
-                    Ok(epochs) => manifest_epochs = epochs,
-                    Err(detail) => report.findings.push(FsckFinding {
-                        name: MANIFEST_NAME.to_string(),
-                        detail,
-                    }),
-                }
+        if let Some(bytes) = read(dir, MANIFEST_NAME, &mut report) {
+            match verify_manifest_bytes(&bytes) {
+                Ok(epochs) => manifest_epochs = epochs,
+                Err(detail) => report
+                    .findings
+                    .push(FsckFinding::damage(MANIFEST_NAME, detail)),
             }
-            Err(detail) => report.findings.push(FsckFinding {
-                name: MANIFEST_NAME.to_string(),
-                detail,
-            }),
         }
     }
 
-    let mut valid_ckpts: Vec<u64> = Vec::new();
+    let mut valid_ckpts: Vec<(u64, CheckpointData)> = Vec::new();
     for name in &names {
         let Some(epoch) = parse_checkpoint_name(name) else {
             continue;
         };
-        report.artifacts += 1;
-        match read(dir, name) {
-            Ok(bytes) => {
-                report.bytes += bytes.len() as u64;
-                match verify_checkpoint_bytes(epoch, &bytes, None) {
-                    Ok(()) => valid_ckpts.push(epoch),
-                    Err(detail) => report.findings.push(FsckFinding {
-                        name: name.clone(),
-                        detail,
-                    }),
-                }
+        if let Some(bytes) = read(dir, name, &mut report) {
+            match verify_checkpoint_bytes(epoch, &bytes, None) {
+                Ok(data) => valid_ckpts.push((epoch, data)),
+                Err(detail) => report.findings.push(FsckFinding::damage(name, detail)),
             }
-            Err(detail) => report.findings.push(FsckFinding {
-                name: name.clone(),
-                detail,
-            }),
         }
     }
     for epoch in &manifest_epochs {
-        if !valid_ckpts.contains(epoch) {
-            report.findings.push(FsckFinding {
-                name: MANIFEST_NAME.to_string(),
-                detail: format!("manifest names checkpoint epoch {epoch} with no valid file"),
-            });
+        if !valid_ckpts.iter().any(|(e, _)| e == epoch) {
+            report.findings.push(FsckFinding::damage(
+                MANIFEST_NAME,
+                format!("manifest names checkpoint epoch {epoch} with no valid file"),
+            ));
         }
     }
 
-    let newest_ckpt = valid_ckpts.iter().copied().max().unwrap_or(0);
+    // Segment files: both copies of each file a checkpoint names, once
+    // per (id, CRC). A checkpoint loads if every file it names keeps at
+    // least one good copy.
+    let mut intact: BTreeMap<(u64, u32), bool> = BTreeMap::new();
+    let mut newest_loadable = 0u64;
+    for (epoch, data) in &valid_ckpts {
+        let mut loadable = true;
+        for (id, &crc) in (0u64..).zip(&data.segments) {
+            let good = match intact.get(&(id, crc)) {
+                Some(&good) => good,
+                None => {
+                    let mut copies_good = 0;
+                    for copy in 0..SEALED_COPIES {
+                        let name = sealed_name(id, copy);
+                        let Some(bytes) = read(dir, &name, &mut report) else {
+                            continue;
+                        };
+                        let verdict = verify_sealed_bytes(
+                            &bytes,
+                            id,
+                            crc,
+                            data.n_items,
+                            data.segment_capacity,
+                        );
+                        match verdict {
+                            Ok(_) => copies_good += 1,
+                            Err(detail) => report.findings.push(FsckFinding::damage(&name, detail)),
+                        }
+                    }
+                    intact.insert((id, crc), copies_good > 0);
+                    copies_good > 0
+                }
+            };
+            if !good {
+                loadable = false;
+                report.findings.push(FsckFinding {
+                    name: checkpoint_name(*epoch),
+                    detail: format!(
+                        "both copies of segment file {id} are damaged or missing: \
+                         unrecoverable from this checkpoint"
+                    ),
+                    unrecoverable: true,
+                });
+            }
+        }
+        if loadable {
+            newest_loadable = newest_loadable.max(*epoch);
+        }
+    }
+
     let mut segments: Vec<(u64, &String)> = names
         .iter()
         .filter_map(|n| parse_segment_name(n).map(|index| (index, n)))
@@ -530,58 +524,46 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
     // damaged segment whose end cannot be trusted.
     let mut covered: Option<u64> = Some(0);
     for (_, name) in segments {
-        report.artifacts += 1;
-        let bytes = match read(dir, name) {
-            Ok(bytes) => bytes,
-            Err(detail) => {
-                report.findings.push(FsckFinding {
-                    name: name.clone(),
-                    detail,
-                });
-                covered = None;
-                continue;
-            }
+        let Some(bytes) = read(dir, name, &mut report) else {
+            covered = None;
+            continue;
         };
-        report.bytes += bytes.len() as u64;
         let inspection = match inspect_wal_bytes(&bytes) {
             Ok(inspection) => inspection,
             Err(e) => {
-                report.findings.push(FsckFinding {
-                    name: name.clone(),
-                    detail: e.to_string(),
-                });
+                report
+                    .findings
+                    .push(FsckFinding::damage(name, e.to_string()));
                 covered = None;
                 continue;
             }
         };
         let Some(base) = inspection.base_epoch else {
-            report.findings.push(FsckFinding {
-                name: name.clone(),
-                detail: "torn segment header".to_string(),
-            });
+            report
+                .findings
+                .push(FsckFinding::damage(name, "torn segment header".to_string()));
             covered = None;
             continue;
         };
         if let Some(cum) = covered {
             if base < cum {
-                report.findings.push(FsckFinding {
-                    name: name.clone(),
-                    detail: format!("base epoch {base} overlaps already-covered epoch {cum}"),
-                });
-            } else if base > cum && base > newest_ckpt {
-                report.findings.push(FsckFinding {
-                    name: name.clone(),
-                    detail: format!(
+                report.findings.push(FsckFinding::damage(
+                    name,
+                    format!("base epoch {base} overlaps already-covered epoch {cum}"),
+                ));
+            } else if base > cum && base > newest_loadable {
+                report.findings.push(FsckFinding::damage(
+                    name,
+                    format!(
                         "chain gap: base epoch {base} past covered epoch {cum} with no checkpoint bridging it"
                     ),
-                });
+                ));
             }
         }
         if inspection.diagnosis != "clean" {
-            report.findings.push(FsckFinding {
-                name: name.clone(),
-                detail: inspection.diagnosis.clone(),
-            });
+            report
+                .findings
+                .push(FsckFinding::damage(name, inspection.diagnosis.clone()));
             covered = None;
             continue;
         }
@@ -637,7 +619,18 @@ enum Artifact {
     Generation,
     Manifest,
     Checkpoint(u64),
-    Segment { index: u64, base: u64, end: u64 },
+    /// One copy of a sealed segment file, with the body CRC the
+    /// checkpoints name it by.
+    Sealed {
+        id: u64,
+        copy: u8,
+        crc: u32,
+    },
+    Segment {
+        index: u64,
+        base: u64,
+        end: u64,
+    },
 }
 
 impl Artifact {
@@ -646,6 +639,7 @@ impl Artifact {
             Artifact::Generation => GEN_NAME.to_string(),
             Artifact::Manifest => MANIFEST_NAME.to_string(),
             Artifact::Checkpoint(epoch) => checkpoint_name(*epoch),
+            Artifact::Sealed { id, copy, .. } => sealed_name(*id, *copy),
             Artifact::Segment { index, .. } => segment_name(*index),
         }
     }
@@ -741,7 +735,7 @@ impl DurableStore {
             // set is stable and retention cannot delete a segment
             // mid-verification. Appends never take this lock, so
             // ingest is unaffected. // lock:allow(io)
-            let state = lock(&ckpt.state);
+            let mut state = lock(&ckpt.state);
             let listing = {
                 let mut dir = lock(&ckpt.dir); // lock:allow(io)
                 dir.list()
@@ -770,6 +764,11 @@ impl DurableStore {
             for &epoch in &state.files {
                 worklist.push(Artifact::Checkpoint(epoch));
             }
+            for (id, &crc) in (0u64..).zip(&state.sealed) {
+                for copy in 0..SEALED_COPIES {
+                    worklist.push(Artifact::Sealed { id, copy, crc });
+                }
+            }
             for (meta, end) in self.sealed_segment_ranges() {
                 worklist.push(Artifact::Segment {
                     index: meta.index,
@@ -792,7 +791,7 @@ impl DurableStore {
                     }
                 }
                 self.scrub_one(
-                    &state,
+                    &mut state,
                     artifact,
                     &mut peer,
                     &mut quarantine_seq,
@@ -837,7 +836,7 @@ impl DurableStore {
     #[allow(clippy::too_many_arguments)]
     fn scrub_one(
         &self,
-        state: &CkptState,
+        state: &mut CkptState,
         artifact: &Artifact,
         peer: &mut Option<&mut dyn RepairPeer>,
         quarantine_seq: &mut u64,
@@ -869,7 +868,16 @@ impl DurableStore {
                         *epoch,
                         &bytes,
                         Some((self.store().n_items(), self.segment_capacity())),
-                    ),
+                    )
+                    .map(drop),
+                    Artifact::Sealed { id, crc, .. } => verify_sealed_bytes(
+                        &bytes,
+                        *id,
+                        *crc,
+                        self.store().n_items(),
+                        self.segment_capacity(),
+                    )
+                    .map(drop),
                     Artifact::Segment { base, end, .. } => {
                         verify_segment_bytes(&bytes, *base, Some(*end))
                     }
@@ -918,7 +926,7 @@ impl DurableStore {
                 );
             }
             Artifact::Checkpoint(epoch) => {
-                match self.recut_checkpoint_bytes(*epoch) {
+                match self.recut_checkpoint_bytes(state, *epoch) {
                     Some(rebuilt) => self.repair_by_replace(
                         &name,
                         file_present,
@@ -934,6 +942,40 @@ impl DurableStore {
                         // supersedes the damaged one for recovery.
                         merge_recheckpoint(recheckpoint_past, *epoch);
                     }
+                }
+            }
+            Artifact::Sealed { id, crc, .. } => {
+                // Sealed segments live in memory for the store's life;
+                // re-encoding one reproduces its file byte for byte.
+                let rebuilt = usize::try_from(*id)
+                    .ok()
+                    .and_then(|at| self.store().snapshot().sealed_segments().get(at).cloned())
+                    .map(|segment| encode_sealed(&segment, self.store().n_items()))
+                    .filter(|file| file.crc == *crc);
+                let repaired = match &rebuilt {
+                    Some(file) => self.quarantine_and_replace(
+                        &name,
+                        file_present,
+                        &bytes,
+                        &file.bytes,
+                        "live store",
+                        quarantine_seq,
+                        report,
+                        metrics,
+                    ),
+                    None => {
+                        report
+                            .findings
+                            .push(format!("{name}: the live store no longer holds this file"));
+                        false
+                    }
+                };
+                if !repaired {
+                    // The re-checkpoint must write this file afresh.
+                    let keep = usize::try_from(*id).unwrap_or(usize::MAX);
+                    state.sealed.truncate(keep);
+                    let cap = self.segment_capacity() as u64;
+                    merge_recheckpoint(recheckpoint_past, (id + 1).saturating_mul(cap));
                 }
             }
             Artifact::Segment { base, end, .. } => {
@@ -953,29 +995,27 @@ impl DurableStore {
         }
     }
 
-    /// Re-encodes the checkpoint image for `epoch` from the live store,
-    /// which holds the full acknowledged history in memory. Segment
-    /// structure is a pure function of capacity and basket order, so
-    /// the image is byte-identical to the one originally cut.
-    fn recut_checkpoint_bytes(&self, epoch: u64) -> Option<Vec<u8>> {
+    /// Re-cuts the checkpoint image for `epoch` from the segment files
+    /// on media (by the CRCs `state` holds) plus the live store's tail
+    /// past them. Encoding is a pure function of the basket sequence,
+    /// so the image is byte-identical to the one originally cut. `None`
+    /// when the live store is behind `epoch` or the files it would name
+    /// are not known to be on media.
+    fn recut_checkpoint_bytes(&self, state: &CkptState, epoch: u64) -> Option<Vec<u8>> {
         let snapshot = self.store().snapshot();
         if snapshot.epoch() < epoch {
             return None;
         }
-        let rebuilt = IncrementalStore::new(
+        let cap = self.segment_capacity();
+        let named = usize::try_from(epoch / cap as u64).ok()?;
+        let segments = state.sealed.get(..named)?;
+        let tail = snapshot.baskets_range((named * cap) as u64, epoch);
+        Some(encode_checkpoint(
+            epoch,
             snapshot.n_items(),
-            StoreConfig {
-                segment_capacity: self.segment_capacity(),
-            },
-        );
-        for basket in snapshot.baskets_range(0, epoch) {
-            if rebuilt.append(basket).is_err() {
-                return None;
-            }
-        }
-        Some(encode_snapshot(
-            &rebuilt.snapshot(),
-            self.segment_capacity(),
+            cap,
+            segments,
+            tail.iter().map(Vec::as_slice),
         ))
     }
 
@@ -1095,46 +1135,65 @@ impl DurableStore {
             return;
         };
         let rebuilt = rebuild_segment_bytes(base, &baskets, self.segment_capacity());
-        // Copy-quarantine then replace-in-place under the dir lock, so
-        // the segment name exists at every instant. // lock:allow(io)
+        let repaired = self.quarantine_and_replace(
+            name,
+            file_present,
+            damaged,
+            &rebuilt,
+            source,
+            quarantine_seq,
+            report,
+            metrics,
+        );
+        if !repaired {
+            merge_recheckpoint(recheckpoint_past, end);
+        }
+    }
+
+    /// Quarantines a damaged segment (WAL segment or segment file copy)
+    /// by durable copy, then atomically replaces it in place with
+    /// `rebuilt` — both under the dir lock, so the name exists at every
+    /// instant. Returns whether the repair landed; when evidence cannot
+    /// be preserved the damaged original is left untouched and the
+    /// caller falls back to covering it with a checkpoint.
+    #[allow(clippy::too_many_arguments)]
+    fn quarantine_and_replace(
+        &self,
+        name: &str,
+        file_present: bool,
+        damaged: &[u8],
+        rebuilt: &[u8],
+        source: &str,
+        quarantine_seq: &mut u64,
+        report: &mut ScrubReport,
+        metrics: &ScrubMetrics,
+    ) -> bool {
+        // lock:allow(io)
         let mut dir = lock(&self.ckpt.dir);
         if file_present {
             let qname = quarantine_name(*quarantine_seq, name);
-            match quarantine_copy(dir.as_mut(), &qname, damaged) {
-                Ok(()) => {
-                    *quarantine_seq += 1;
-                    report.quarantines += 1;
-                    metrics.quarantines.inc();
-                }
-                Err(e) => {
-                    // Evidence could not be preserved; leave the
-                    // damaged original untouched and cover it with a
-                    // checkpoint instead of overwriting it.
-                    report
-                        .findings
-                        .push(format!("{name}: quarantine failed: {e}"));
-                    drop(dir);
-                    merge_recheckpoint(recheckpoint_past, end);
-                    return;
-                }
+            if let Err(e) = quarantine_copy(dir.as_mut(), &qname, damaged) {
+                report
+                    .findings
+                    .push(format!("{name}: quarantine failed: {e}"));
+                return false;
             }
+            *quarantine_seq += 1;
+            report.quarantines += 1;
+            metrics.quarantines.inc();
         }
-        match write_atomic(dir.as_mut(), name, &rebuilt) {
-            Ok(()) => {
-                report.repairs += 1;
-                metrics.repairs.inc();
-                bmb_obs::events().emit(
-                    Severity::Info,
-                    "scrub: segment repaired",
-                    &[("artifact", name), ("source", source)],
-                );
-            }
-            Err(e) => {
-                report.findings.push(format!("{name}: repair failed: {e}"));
-                drop(dir);
-                merge_recheckpoint(recheckpoint_past, end);
-            }
+        if let Err(e) = write_atomic(dir.as_mut(), name, rebuilt) {
+            report.findings.push(format!("{name}: repair failed: {e}"));
+            return false;
         }
+        report.repairs += 1;
+        metrics.repairs.inc();
+        bmb_obs::events().emit(
+            Severity::Info,
+            "scrub: segment repaired",
+            &[("artifact", name), ("source", source)],
+        );
+        true
     }
 }
 
@@ -1156,6 +1215,7 @@ fn merge_recheckpoint(target: &mut Option<u64>, epoch: u64) {
 mod tests {
     use super::*;
     use crate::checkpoint::TMP_SUFFIX;
+    use crate::segment::StoreConfig;
     use crate::storage::{MemDir, SharedDirState};
     use crate::wal::DurabilityConfig;
     use std::sync::Arc;
@@ -1488,6 +1548,72 @@ mod tests {
         }
         let dc = segment_digests(&c.snapshot(), 0);
         assert_ne!(da, dc);
+    }
+
+    #[test]
+    fn segment_file_body_crc_is_the_anti_entropy_digest() {
+        let (store, state) = open_store();
+        ingest(&store, 13);
+        store.checkpoint().expect("checkpoint");
+        let digests = segment_digests(&store.snapshot(), 0);
+        assert_eq!(digests.len(), 3);
+        for digest in digests {
+            for copy in 0..SEALED_COPIES {
+                let bytes = read_file(&state, &sealed_name(digest.segment, copy));
+                // Header (28 bytes) · body · body CRC (4 bytes).
+                let body = &bytes[28..bytes.len() - 4];
+                assert_eq!(crate::record::crc32(body), digest.crc);
+            }
+        }
+    }
+
+    #[test]
+    fn fsck_tells_a_damaged_copy_from_an_unrecoverable_file() {
+        let (store, state) = open_store();
+        ingest(&store, 9);
+        store.checkpoint().expect("checkpoint");
+        drop(store);
+        let fsck = |state: &SharedDirState| {
+            fsck_dir(&mut MemDir::with_state(Arc::clone(state))).expect("fsck")
+        };
+        assert!(fsck(&state).is_clean());
+
+        let copy0 = sealed_name(1, 0);
+        let bytes = read_file(&state, &copy0);
+        flip_byte(&state, &copy0, bytes.len() / 2);
+        let one = fsck(&state);
+        assert_eq!(one.findings.len(), 1, "{:?}", one.findings);
+        assert_eq!(one.findings[0].name, copy0);
+        assert!(!one.findings[0].unrecoverable, "the other copy holds it");
+
+        let copy1 = sealed_name(1, 1);
+        MemDir::with_state(Arc::clone(&state))
+            .delete(&copy1)
+            .expect("delete");
+        let both = fsck(&state);
+        let lost: Vec<&FsckFinding> = both.findings.iter().filter(|f| f.unrecoverable).collect();
+        assert_eq!(lost.len(), 1, "{:?}", both.findings);
+        assert_eq!(lost[0].name, checkpoint_name(9));
+        assert!(both
+            .findings
+            .iter()
+            .any(|f| f.name == copy1 && !f.unrecoverable));
+    }
+
+    #[test]
+    fn damaged_segment_file_copy_is_repaired_from_the_live_store() {
+        let (store, state) = open_store();
+        ingest(&store, 9);
+        store.checkpoint().expect("checkpoint");
+        let name = sealed_name(0, 1);
+        let pristine = read_file(&state, &name);
+        flip_byte(&state, &name, 30);
+        let report = store.scrub_pass(None, &ScrubOptions::default());
+        assert_eq!(report.corruptions, 1, "findings: {:?}", report.findings);
+        assert_eq!((report.repairs, report.quarantines), (1, 1));
+        assert_eq!(read_file(&state, &name), pristine);
+        let mut dir = MemDir::with_state(Arc::clone(&state));
+        assert!(fsck_dir(&mut dir).expect("fsck").is_clean());
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //! [`crate::checkpoint`]):
 //!
 //! ```text
-//! wal.000000 wal.000001 …   — segments: b"BMBWAL2\n" + base_epoch:u64le,
-//!                             then length-prefixed, CRC'd records
-//! ckpt.<epoch, 20 digits>   — store snapshots (BMBCKPT1, CRC-trailed)
+//! wal.000000 wal.000001 …   — segments: b"BMBWAL3\0" + base_epoch:u64le
+//!                             + header CRC (v2 headers still read), then
+//!                             length-prefixed, CRC'd records
+//! sealed.<id, 10 digits>.0|1 — each sealed store segment, written once,
+//!                             two identical copies (BMBSEG1, CRC'd)
+//! ckpt.<epoch, 20 digits>   — checkpoints: segment files named by CRC
+//!                             plus the tail (BMBCKPT2; BMBCKPT1 still read)
 //! MANIFEST                  — durable checkpoint epochs (BMBMAN1, CRC'd)
 //! GEN                       — the fencing generation (BMBGEN1, CRC'd)
 //! ```
@@ -25,13 +29,16 @@
 //!
 //! Rotation happens at a record boundary once the active segment passes
 //! [`DurabilityConfig::segment_bytes`]. [`DurableStore::checkpoint`]
-//! serializes the current snapshot write-temp → fsync → atomic rename →
-//! fsync-dir, appends its epoch to the manifest the same way, and then
-//! applies retention: keep the newest [`DurabilityConfig::retain_checkpoints`]
-//! snapshots and delete exactly the WAL segments wholly covered by the
-//! *oldest retained* manifest epoch — so even if the newest snapshot is
-//! later found corrupt, an older snapshot plus the WAL suffix it needs
-//! are still on media.
+//! writes the files of every segment sealed since the last checkpoint,
+//! then a snapshot naming them plus the tail, each write-temp → fsync →
+//! atomic rename → fsync-dir, appends its epoch to the manifest the same
+//! way, and then applies retention: keep the newest
+//! [`DurabilityConfig::retain_checkpoints`] snapshots and delete exactly
+//! the WAL segments wholly covered by the *oldest retained* manifest
+//! epoch — so even if the newest snapshot is later found corrupt, an
+//! older snapshot plus the WAL suffix it needs are still on media. The
+//! two copies of every segment file keep a sealed basket off any single
+//! file, although retained checkpoints share segment files.
 //!
 //! # Recovery invariants
 //!
@@ -63,13 +70,14 @@ use std::time::{Duration, Instant};
 use bmb_obs::{Counter, Gauge, Histogram, Registry, Severity};
 
 use crate::checkpoint::{
-    checkpoint_name, decode_checkpoint, decode_manifest, encode_manifest, encode_snapshot,
-    parse_checkpoint_name, write_atomic, MANIFEST_NAME, TMP_SUFFIX,
+    checkpoint_name, decode_checkpoint, decode_manifest, encode_checkpoint, encode_manifest,
+    encode_sealed, parse_checkpoint_name, parse_sealed_name, read_sealed, sealed_name,
+    write_atomic, SealedFile, MANIFEST_NAME, SEALED_COPIES, TMP_SUFFIX,
 };
 use crate::item::ItemId;
 use crate::record::{
     crc32, encode_batch, encode_fence, frame_into, is_torn_header, parse_segment_header,
-    segment_header, Frames, Record, MAX_RECORD_BYTES, WAL2_HEADER_LEN,
+    segment_header, Frames, Record, SegmentHeader, MAX_RECORD_BYTES, WAL3_HEADER_LEN,
 };
 use crate::segment::{IncrementalStore, ItemOutOfRange, Snapshot, StoreConfig};
 use crate::storage::{Dir, Storage};
@@ -156,7 +164,7 @@ impl DurabilityConfig {
     /// `retain_checkpoints` is zero.
     pub fn validate(&self) {
         assert!(
-            self.segment_bytes >= WAL2_HEADER_LEN as u64,
+            self.segment_bytes >= WAL3_HEADER_LEN as u64,
             "segment_bytes must hold at least a segment header"
         );
         assert!(
@@ -171,11 +179,12 @@ impl DurabilityConfig {
 pub enum WalError {
     /// The storage backend failed.
     Io(io::Error),
-    /// A WAL segment header is foreign or damaged: it does not start
-    /// with the segment magic ([`crate::record::WAL2_MAGIC`]) and is no
-    /// torn trailing header, or its base epoch overlaps the records
-    /// before it. Refusing to replay protects foreign files and the
-    /// acknowledged records a damaged header sits in front of.
+    /// A WAL segment header is foreign or damaged: it is no valid v3
+    /// header ([`crate::record::WAL3_MAGIC`] with a matching header CRC)
+    /// or v2 header and no torn trailing header, or its base epoch
+    /// overlaps the records before it. Refusing to replay protects
+    /// foreign files and the acknowledged records a damaged header sits
+    /// in front of.
     NotAWal,
     /// A *replayed* (intact, checksummed) record named an item outside
     /// the store's item space: the log belongs to a different item
@@ -443,7 +452,7 @@ impl WalInner {
             Ok(file) => {
                 drop(dir);
                 self.storage = file;
-                self.committed_len = WAL2_HEADER_LEN as u64;
+                self.committed_len = WAL3_HEADER_LEN as u64;
                 self.segments.push(SegMeta {
                     index: next_index,
                     base_epoch: epoch,
@@ -540,13 +549,21 @@ pub(crate) struct CkptShared {
     metrics: CkptMetrics,
 }
 
-/// Which checkpoint epochs exist where.
+/// Which checkpoint epochs and segment files exist where.
 pub(crate) struct CkptState {
     /// Epochs recorded in the durable manifest, ascending.
     pub(crate) manifest: Vec<u64>,
     /// Epochs with a snapshot file on media (superset of `manifest`
     /// between a snapshot rename and its manifest update).
     pub(crate) files: Vec<u64>,
+    /// Body CRCs of sealed segment files `0..`: the files a
+    /// manifest-listed checkpoint names with these CRCs and that match
+    /// the live store's sealed segments. The only files a checkpoint
+    /// reuses instead of writing; scrub verifies them.
+    pub(crate) sealed: Vec<u32>,
+    /// One past the highest segment id that may have a file on media;
+    /// files from `sealed.len()` up to here are orphans retention deletes.
+    sealed_on_media: u64,
 }
 
 /// Handle bundle for the checkpoint metrics (`bmb_basket_ckpt_*` plus
@@ -595,7 +612,8 @@ pub struct CheckpointStats {
     /// End-to-end wall time (serialize, write, fsync, rename, manifest,
     /// retention).
     pub duration: Duration,
-    /// Snapshot file size in bytes.
+    /// Bytes this checkpoint wrote: its snapshot file plus the files of
+    /// the segments sealed since the last one (both copies).
     pub snapshot_bytes: u64,
     /// WAL segments deleted by retention.
     pub wal_segments_deleted: u64,
@@ -641,8 +659,8 @@ struct SegFile {
     index: u64,
     handle: Box<dyn Storage>,
     bytes: Vec<u8>,
-    /// The header's base epoch; `None` for a torn or foreign header.
-    base: Option<u64>,
+    /// The parsed header; `None` for a torn, foreign or damaged one.
+    header: Option<SegmentHeader>,
     /// Offset just past the last intact record.
     valid_end: u64,
 }
@@ -652,8 +670,9 @@ impl DurableStore {
     /// and checkpoint snapshots (see the module docs for the layout).
     ///
     /// Recovery ladder: the newest checkpoint the manifest names that
-    /// validates (magic, CRC, geometry) — else the next older — else any
-    /// stray snapshot file — else full WAL replay. Only records after
+    /// validates (magic, CRC, geometry, and every segment file it names:
+    /// copy 0, else copy 1) — else the next older — else any stray
+    /// snapshot file — else full WAL replay. Only records after
     /// the loaded epoch are replayed; segments wholly covered are
     /// skipped without decoding. Stray `*.tmp` files are deleted, a
     /// trailing segment holding only a torn header prefix (crashed
@@ -708,6 +727,12 @@ impl DurableStore {
         let mut seg_indexes: Vec<u64> =
             names.iter().filter_map(|n| parse_segment_name(n)).collect();
         seg_indexes.sort_unstable();
+        let sealed_on_media = names
+            .iter()
+            .filter_map(|n| parse_sealed_name(n))
+            .map(|(id, _)| id + 1)
+            .max()
+            .unwrap_or(0);
 
         // The manifest orders the ladder; if it is damaged or missing we
         // still try every snapshot file on media, newest first.
@@ -733,23 +758,18 @@ impl DurableStore {
         }
 
         // The ladder: first candidate that validates and restores wins.
+        // Its segment files are reusable only if the manifest lists it.
         let mut store = IncrementalStore::new(n_items, config);
         let mut ckpt_epoch = 0u64;
+        let mut sealed = Vec::new();
         for &epoch in &candidates {
-            let restored = (|| {
-                let bytes = dir.open(&checkpoint_name(epoch)).ok()?.read_all().ok()?;
-                let data = decode_checkpoint(&bytes, n_items, config.segment_capacity)?;
-                if data.epoch != epoch {
-                    return None;
-                }
-                let fresh = IncrementalStore::new(n_items, config);
-                fresh.append_batch(data.baskets).ok()?;
-                Some(fresh)
-            })();
-            match restored {
-                Some(fresh) => {
-                    store = fresh;
+            match restore_checkpoint(dir.as_mut(), epoch, n_items, config) {
+                Some(restored) => {
+                    store = restored.store;
                     ckpt_epoch = epoch;
+                    if manifest.contains(&epoch) {
+                        sealed = restored.reusable;
+                    }
                     break;
                 }
                 None => report.checkpoint_fallbacks += 1,
@@ -763,24 +783,24 @@ impl DurableStore {
         for &index in &seg_indexes {
             let mut handle = dir.open(&segment_name(index))?;
             let bytes = handle.read_all()?;
-            let base = parse_segment_header(&bytes);
+            let header = parse_segment_header(&bytes);
             let valid_end = bytes.len() as u64;
             segs.push(SegFile {
                 index,
                 handle,
                 bytes,
-                base,
+                header,
                 valid_end,
             });
         }
         // A trailing segment holding only part of a header is a crashed
         // rotation: the header is synced before any record, so nothing
         // acked lives there — drop the file. Any other header that does
-        // not parse (foreign bytes, a flipped magic) is refused and
-        // left on media untouched.
+        // not parse (foreign bytes, a flipped magic, a v3 header failing
+        // its CRC) is refused and left on media untouched.
         if segs
             .last()
-            .is_some_and(|s| s.base.is_none() && is_torn_header(&s.bytes))
+            .is_some_and(|s| s.header.is_none() && is_torn_header(&s.bytes))
         {
             if let Some(dead) = segs.pop() {
                 report.truncated_bytes += dead.bytes.len() as u64;
@@ -789,14 +809,15 @@ impl DurableStore {
                 dir.sync()?;
             }
         }
-        if segs.iter().any(|s| s.base.is_none()) {
-            return Err(WalError::NotAWal);
+        let mut headers = Vec::with_capacity(segs.len());
+        for seg in &segs {
+            headers.push(seg.header.ok_or(WalError::NotAWal)?);
         }
 
         // Replay, skipping what the checkpoint covers. `cum` tracks the
         // epoch the WAL byte stream has reached.
-        let mut cum = match segs.first() {
-            Some(first) => first.base.unwrap_or(0),
+        let mut cum = match headers.first() {
+            Some(first) => first.base_epoch,
             None => store.epoch(),
         };
         if cum > store.epoch() {
@@ -807,7 +828,7 @@ impl DurableStore {
         }
         let mut discard_from: Option<usize> = None;
         for i in 0..segs.len() {
-            let base = segs[i].base.unwrap_or(0);
+            let base = headers[i].base_epoch;
             // A gap (`base > cum`) is fine under checkpoint cover: a
             // damaged tail was truncated below a later snapshot in a
             // previous life, and the records are safe inside it.
@@ -822,7 +843,7 @@ impl DurableStore {
                 // discard the acknowledged records behind it.
                 return Err(WalError::NotAWal);
             }
-            if let Some(next_base) = segs.get(i + 1).and_then(|s| s.base) {
+            if let Some(next_base) = headers.get(i + 1).map(|h| h.base_epoch) {
                 if base < next_base && next_base <= ckpt_epoch {
                     // Whole segment under checkpoint cover: skip the
                     // decode entirely. A next base at or below this one
@@ -834,7 +855,8 @@ impl DurableStore {
                     continue;
                 }
             }
-            let replayed = replay_segment(&segs[i].bytes, base, &store, ckpt_epoch, &mut report)?;
+            let replayed =
+                replay_segment(&segs[i].bytes, headers[i], &store, ckpt_epoch, &mut report)?;
             cum = replayed.epoch;
             segs[i].valid_end = replayed.valid_end;
             if replayed.damaged {
@@ -861,9 +883,10 @@ impl DurableStore {
         // based at the recovered epoch instead.
         let mut segments: Vec<SegMeta> = segs
             .iter()
-            .map(|s| SegMeta {
+            .zip(&headers)
+            .map(|(s, h)| SegMeta {
                 index: s.index,
-                base_epoch: s.base.unwrap_or(0),
+                base_epoch: h.base_epoch,
             })
             .collect();
         let (active, committed_len) = match segs.pop() {
@@ -879,7 +902,7 @@ impl DurableStore {
                     index: next_index,
                     base_epoch: store.epoch(),
                 });
-                (file, WAL2_HEADER_LEN as u64)
+                (file, WAL3_HEADER_LEN as u64)
             }
         };
 
@@ -907,6 +930,8 @@ impl DurableStore {
             state: Mutex::new(CkptState {
                 manifest,
                 files: ckpt_files,
+                sealed,
+                sealed_on_media,
             }),
             metrics: ckpt_metrics,
         };
@@ -939,15 +964,18 @@ impl DurableStore {
     /// The snapshot is taken under the WAL lock (a few microseconds —
     /// snapshots are `Arc`-shared) so it is exactly consistent with the
     /// durable log; serialization and all file I/O happen outside it,
-    /// so ingest stalls only for the snapshot grab. Protocol: snapshot
-    /// file via write-temp → fsync → atomic rename → fsync-dir, then
-    /// the manifest the same way, then retention — old snapshots beyond
-    /// [`DurabilityConfig::retain_checkpoints`] and WAL segments wholly
-    /// covered by the oldest retained epoch are deleted. Segments are
-    /// only ever reclaimed once at least two checkpoints are retained,
-    /// so the newest snapshot is never a single point of failure: a
-    /// corrupted checkpoint always leaves either an older snapshot plus
-    /// its tail of segments, or the full log for a complete replay.
+    /// so ingest stalls only for the snapshot grab. Protocol: the files
+    /// of every sealed segment no manifest-listed checkpoint names yet
+    /// (two copies each), then the snapshot file naming them plus the
+    /// tail, each via write-temp → fsync → atomic rename → fsync-dir,
+    /// then the manifest the same way, then retention — old snapshots
+    /// beyond [`DurabilityConfig::retain_checkpoints`], orphan segment
+    /// files, and WAL segments wholly covered by the oldest retained
+    /// epoch are deleted. WAL segments are only ever reclaimed once at
+    /// least two checkpoints are retained, so the newest snapshot is
+    /// never a single point of failure: a corrupted checkpoint always
+    /// leaves either an older snapshot plus its tail of segments, or the
+    /// full log for a complete replay.
     ///
     /// Checkpointing at an epoch that already has a durable snapshot
     /// rewrites it idempotently.
@@ -972,15 +1000,42 @@ impl DurableStore {
         };
         let epoch = snap.epoch();
 
-        // Serialize outside every lock: the snapshot is immutable.
-        let bytes = encode_snapshot(&snap, self.segment_capacity);
-        let snapshot_bytes = bytes.len() as u64;
+        // Serialize outside every lock: the snapshot is immutable. Only
+        // the segments sealed since the files the manifest already names
+        // are encoded; the rest are reused by CRC.
+        let sealed = snap.sealed_segments();
+        let reused = state.sealed.len().min(sealed.len());
+        let fresh: Vec<SealedFile> = sealed[reused..]
+            .iter()
+            .map(|segment| encode_sealed(segment, snap.n_items()))
+            .collect();
+        let crcs: Vec<u32> = state.sealed[..reused]
+            .iter()
+            .copied()
+            .chain(fresh.iter().map(|file| file.crc))
+            .collect();
+        let tail = snap.tail_segment().map(|t| t.database().baskets());
+        let bytes = encode_checkpoint(
+            epoch,
+            snap.n_items(),
+            self.segment_capacity,
+            &crcs,
+            tail.into_iter().flatten(),
+        );
+        let snapshot_bytes = bytes.len() as u64
+            + u64::from(SEALED_COPIES) * fresh.iter().map(|f| f.bytes.len() as u64).sum::<u64>();
         drop(snap);
 
         let result = (|| -> io::Result<(u64, u64)> {
             // The whole publish + retention sequence is one critical
             // section over the checkpoint dir. // lock:allow(io)
             let mut dir = lock(&ckpt.dir);
+            for (id, file) in (reused as u64..).zip(&fresh) {
+                state.sealed_on_media = state.sealed_on_media.max(id + 1);
+                for copy in 0..SEALED_COPIES {
+                    write_atomic(dir.as_mut(), &sealed_name(id, copy), &file.bytes)?;
+                }
+            }
             write_atomic(dir.as_mut(), &checkpoint_name(epoch), &bytes)?;
             if !state.files.contains(&epoch) {
                 state.files.push(epoch);
@@ -1001,6 +1056,7 @@ impl DurableStore {
             let retained: Vec<u64> = manifest[keep_from..].to_vec();
             write_atomic(dir.as_mut(), MANIFEST_NAME, &encode_manifest(&retained))?;
             state.manifest = retained.clone();
+            state.sealed = crcs;
 
             // Retention. Snapshot files first: everything not retained.
             let mut retired = Vec::new();
@@ -1010,6 +1066,25 @@ impl DurableStore {
                 }
             }
             state.files.retain(|e| !retired.contains(e));
+            // Segment files past the count this checkpoint names are
+            // orphans (a crashed checkpoint's, or an abandoned
+            // history's): no retained checkpoint names them, since older
+            // ones name fewer.
+            let named = state.sealed.len() as u64;
+            let mut unlinked = !retired.is_empty();
+            let mut orphans_left = false;
+            for id in named..state.sealed_on_media {
+                for copy in 0..SEALED_COPIES {
+                    match dir.delete(&sealed_name(id, copy)) {
+                        Ok(()) => unlinked = true,
+                        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                        Err(_) => orphans_left = true,
+                    }
+                }
+            }
+            if !orphans_left {
+                state.sealed_on_media = named;
+            }
             // WAL segments: only those wholly covered by the *oldest*
             // retained epoch (so every retained snapshot can still fall
             // back to replay), and never the active segment. With fewer
@@ -1035,7 +1110,7 @@ impl DurableStore {
                     }
                 }
             }
-            if !retired.is_empty() || !deleted.is_empty() {
+            if unlinked || !deleted.is_empty() {
                 dir.sync()?;
             }
             drop(dir);
@@ -1370,11 +1445,12 @@ impl DurableStore {
             let mut file = dir.open(&name).ok()?;
             file.read_all().ok()?
         };
-        if parse_segment_header(&bytes)? != base_epoch {
+        let header = parse_segment_header(&bytes)?;
+        if header.base_epoch != base_epoch {
             return None;
         }
         let mut baskets: Vec<Vec<ItemId>> = Vec::new();
-        'records: for frame in Frames::new(&bytes, base_epoch) {
+        'records: for frame in Frames::new(&bytes, header) {
             let Record::Batch(batch) = frame.record else {
                 continue;
             };
@@ -1451,18 +1527,61 @@ struct Replayed {
     damaged: bool,
 }
 
+/// A checkpoint restored into a fresh store.
+struct Restored {
+    store: IncrementalStore,
+    /// The leading segment-file CRCs whose copy 0 verified: files the
+    /// next checkpoint may reuse. A file served by copy 1 (and every
+    /// later one) is left out, so that checkpoint rewrites both copies.
+    reusable: Vec<u32>,
+}
+
+/// Restores the checkpoint at `epoch`: decode and validate it against
+/// the store's geometry, then re-append every segment file it names
+/// (copy 0, else copy 1, each checked against its named CRC) and its
+/// tail. `None` sends the ladder to the next candidate.
+fn restore_checkpoint(
+    dir: &mut dyn Dir,
+    epoch: u64,
+    n_items: usize,
+    config: StoreConfig,
+) -> Option<Restored> {
+    let bytes = dir.open(&checkpoint_name(epoch)).ok()?.read_all().ok()?;
+    let data = decode_checkpoint(&bytes).ok()?;
+    let cap = config.segment_capacity;
+    if data.epoch != epoch || data.n_items != n_items || data.segment_capacity != cap {
+        return None;
+    }
+    let store = IncrementalStore::new(n_items, config);
+    let mut reusable = data.segments.len();
+    for (id, &crc) in (0u64..).zip(&data.segments) {
+        let (baskets, first_copy) = read_sealed(dir, id, crc, n_items, cap)?;
+        if !first_copy {
+            reusable = reusable.min(id as usize);
+        }
+        store.append_batch(baskets).ok()?;
+    }
+    store.append_batch(data.baskets).ok()?;
+    let mut segments = data.segments;
+    segments.truncate(reusable);
+    Some(Restored {
+        store,
+        reusable: segments,
+    })
+}
+
 /// Replays one segment's records into `store`, skipping records the
-/// checkpoint already covers. `base` is the segment's header epoch,
-/// which recovery has already matched to the epoch the WAL stream
-/// reached.
+/// checkpoint already covers. `header` is the segment's parsed header,
+/// whose base epoch recovery has already matched to the epoch the WAL
+/// stream reached.
 fn replay_segment(
     bytes: &[u8],
-    base: u64,
+    header: SegmentHeader,
     store: &IncrementalStore,
     ckpt_epoch: u64,
     report: &mut RecoveryReport,
 ) -> Result<Replayed, WalError> {
-    let mut frames = Frames::new(bytes, base);
+    let mut frames = Frames::new(bytes, header);
     for frame in frames.by_ref() {
         match frame.record {
             Record::Batch(baskets) => {
@@ -1571,7 +1690,7 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{inspect_wal_bytes, segment_header, WAL2_MAGIC};
+    use crate::record::{inspect_wal_bytes, segment_header, WAL2_MAGIC, WAL3_MAGIC};
     use crate::storage::{DirFaultPlan, FaultDir, MemDir, SharedDirState};
     use crate::Itemset;
 
@@ -1752,15 +1871,17 @@ mod tests {
         assert!(segments.len() >= 3, "{names:?}");
         let active = segments[segments.len() - 1].as_str();
         let sealed = segments[segments.len() - 2].as_str();
-        // A flipped magic bit on the active or a sealed segment, and the
-        // active segment's base epoch moved below (overlap) or above
-        // (gap) the stream it continues.
+        // A flipped magic bit on the active or a sealed segment, a
+        // flipped base-epoch byte (the v3 header CRC refuses it), and
+        // the active segment's header rewritten whole — CRC included —
+        // with a base epoch below (overlap) or above (gap) the stream it
+        // continues.
         let flip = |at: usize, mask: u8| move |b: &mut Vec<u8>| b[at] ^= mask;
         let shift = |delta: i64| {
             move |b: &mut Vec<u8>| {
-                let base = parse_segment_header(b).unwrap();
-                let moved = base.wrapping_add_signed(delta);
-                b[8..16].copy_from_slice(&moved.to_le_bytes());
+                let base = parse_segment_header(b).unwrap().base_epoch;
+                let moved = segment_header(base.wrapping_add_signed(delta));
+                b[..WAL3_HEADER_LEN].copy_from_slice(&moved);
             }
         };
         let gap = |e: &WalError| matches!(e, WalError::MissingHistory { .. });
@@ -1769,6 +1890,8 @@ mod tests {
         let cases: Vec<(&str, Damage, &dyn Fn(&WalError) -> bool)> = vec![
             (active, Box::new(flip(0, 0x01)), &foreign),
             (sealed, Box::new(flip(7, 0x80)), &foreign),
+            (sealed, Box::new(flip(8, 0x04)), &foreign),
+            (active, Box::new(flip(15, 0x01)), &foreign),
             (active, Box::new(shift(-1)), &foreign),
             (active, Box::new(shift(1)), &gap),
         ];
@@ -1900,7 +2023,7 @@ mod tests {
         // Nothing was logged or applied, and the wal is still healthy.
         assert_eq!(store.epoch(), 0);
         assert!(store.is_healthy());
-        assert_eq!(read_file(&state, "wal.000000").len(), WAL2_HEADER_LEN);
+        assert_eq!(read_file(&state, "wal.000000").len(), WAL3_HEADER_LEN);
         store.append_ids([1]).unwrap();
         assert_eq!(store.epoch(), 1);
     }
@@ -1996,7 +2119,8 @@ mod tests {
             .unwrap();
         drop(store);
         let buf = read_file(&state, "wal.000000");
-        let fences: Vec<u64> = Frames::new(&buf, 0)
+        let header = parse_segment_header(&buf).unwrap();
+        let fences: Vec<u64> = Frames::new(&buf, header)
             .filter_map(|frame| match frame.record {
                 Record::Fence(epoch) => Some(epoch),
                 Record::Batch(_) => None,
@@ -2147,7 +2271,31 @@ mod tests {
                 "{name}: replay stopped where inspect did"
             );
         }
-        assert!(clean.starts_with(WAL2_MAGIC));
+        assert!(clean.starts_with(WAL3_MAGIC));
+    }
+
+    #[test]
+    fn v2_segment_headers_still_recover() {
+        // A directory written before v3: a 16-byte header with no CRC.
+        let mut bytes = WAL2_MAGIC.to_vec();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        frame_into(&mut bytes, &encode_batch(&[vec![ItemId(0), ItemId(1)]]));
+        frame_into(&mut bytes, &encode_batch(&[vec![ItemId(2)]]));
+        let insp = inspect_wal_bytes(&bytes).unwrap();
+        assert_eq!((insp.base_epoch, insp.end_epoch), (Some(0), 2));
+        assert_eq!(insp.diagnosis, "clean");
+        let mut d = MemDir::new();
+        let state = d.state();
+        d.create("wal.000000").unwrap().append(&bytes).unwrap();
+        d.sync().unwrap();
+        let (store, report) = recover(&state);
+        assert_eq!(report.epoch, 2);
+        // Appends continue in the v2 segment; a reopen reads both.
+        store.append_ids([3]).unwrap();
+        drop(store);
+        let (store, _) = recover(&state);
+        assert_eq!(store.epoch(), 3);
+        assert!(read_file(&state, "wal.000000").starts_with(WAL2_MAGIC));
     }
 
     // ------------------------------------------------------------------
@@ -2299,6 +2447,109 @@ mod tests {
         for (i, basket) in batch.baskets.iter().enumerate() {
             assert_eq!(basket.as_slice(), &[ItemId(i as u32 % 8)]);
         }
+    }
+
+    /// A [`MemDir`] that records every name passed to `create`.
+    struct RecordingDir {
+        inner: MemDir,
+        created: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Dir for RecordingDir {
+        fn list(&mut self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn open(&mut self, name: &str) -> io::Result<Box<dyn Storage>> {
+            self.inner.open(name)
+        }
+        fn create(&mut self, name: &str) -> io::Result<Box<dyn Storage>> {
+            lock(&self.created).push(name.to_string());
+            self.inner.create(name)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn delete(&mut self, name: &str) -> io::Result<()> {
+            self.inner.delete(name)
+        }
+        fn file_len(&mut self, name: &str) -> io::Result<u64> {
+            self.inner.file_len(name)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn checkpoint_writes_each_sealed_segment_once() {
+        let media = MemDir::new();
+        let state = media.state();
+        let created = Arc::new(Mutex::new(Vec::new()));
+        let dir = RecordingDir {
+            inner: media,
+            created: Arc::clone(&created),
+        };
+        let (store, _) =
+            DurableStore::open_dir(Box::new(dir), 8, config(), durability(1 << 20)).unwrap();
+        let sealed_files = |state: &SharedDirState| -> Vec<(String, Vec<u8>)> {
+            dir_names(state)
+                .into_iter()
+                .filter(|n| parse_sealed_name(n).is_some())
+                .map(|n| {
+                    let bytes = read_file(state, &n);
+                    (n, bytes)
+                })
+                .collect()
+        };
+        // 9 baskets at capacity 4: two sealed segments and a 1-basket tail.
+        for i in 0..9u32 {
+            store.append_ids([i % 8, (i + 2) % 8]).unwrap();
+        }
+        let first = store.checkpoint().unwrap();
+        let files = sealed_files(&state);
+        assert_eq!(files.len(), 4, "two copies of two segment files");
+        let file_bytes: u64 = files.iter().map(|(_, b)| b.len() as u64).sum();
+        let ckpt_len = |epoch| read_file(&state, &checkpoint_name(epoch)).len() as u64;
+        assert_eq!(first.snapshot_bytes, ckpt_len(9) + file_bytes);
+
+        // No seal since: the second checkpoint writes its tail and the
+        // manifest, nothing else.
+        store.append_ids([1, 2]).unwrap();
+        store.append_ids([3]).unwrap();
+        lock(&created).clear();
+        let second = store.checkpoint().unwrap();
+        assert_eq!(
+            *lock(&created),
+            vec![
+                format!("{}{TMP_SUFFIX}", checkpoint_name(11)),
+                format!("{MANIFEST_NAME}{TMP_SUFFIX}"),
+            ]
+        );
+        assert_eq!(second.snapshot_bytes, ckpt_len(11));
+        assert_eq!(sealed_files(&state), files, "segment files untouched");
+
+        // One more seal: exactly that segment's two copies are new.
+        store.append_ids([4]).unwrap();
+        lock(&created).clear();
+        let third = store.checkpoint().unwrap();
+        let new_copies: Vec<String> = lock(&created)
+            .iter()
+            .filter(|n| n.starts_with("sealed."))
+            .cloned()
+            .collect();
+        assert_eq!(
+            new_copies,
+            vec![
+                format!("{}{TMP_SUFFIX}", sealed_name(2, 0)),
+                format!("{}{TMP_SUFFIX}", sealed_name(2, 1)),
+            ]
+        );
+        let seal_bytes = 2 * read_file(&state, &sealed_name(2, 0)).len() as u64;
+        assert_eq!(third.snapshot_bytes, ckpt_len(12) + seal_bytes);
+        drop(store);
+        let (recovered, report) = recover(&state);
+        assert_eq!((report.epoch, report.checkpoint_epoch), (12, 12));
+        assert_eq!(recovered.snapshot().sealed_segments().len(), 3);
     }
 
     #[test]

@@ -669,10 +669,9 @@ pub fn cmd_wal(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
 /// Walks a rotated WAL segment directory, one summary line per
 /// `wal.NNNNNN` file in rotation order: base epoch, record count, end
-/// epoch, and diagnosis. Checkpoint artifacts ride along: every
-/// `ckpt.*` file is structurally verified (magic, CRC, named epoch,
-/// basket-table walk) and `MANIFEST` must be intact, list strictly
-/// ascending epochs, and agree with the files on disk. `limit` caps
+/// epoch, and diagnosis. Checkpoint artifacts ride along through
+/// `bmb_basket::fsck_dir`: every `ckpt.*` file, both copies of every
+/// segment file a checkpoint names, `MANIFEST` and `GEN`. `limit` caps
 /// the per-segment lines (the summaries always print).
 fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), String> {
     let sink = |e: std::io::Error| e.to_string();
@@ -731,76 +730,46 @@ fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), S
     )
     .map_err(sink)?;
 
-    // The checkpoint side of the directory: every `ckpt.*` file must
-    // verify structurally, and the MANIFEST must agree with the disk.
-    let mut checkpoints: Vec<(u64, String)> = names
+    // The checkpoint side of the directory — checkpoints, both copies
+    // of every segment file they name, MANIFEST, GEN — is judged by the
+    // same `fsck_dir` the scrubber's offline twin `bmb fsck` runs; its
+    // WAL-segment findings are the walk above.
+    let mut fs = bmb_basket::FsDir::open(std::path::Path::new(dir))
+        .map_err(|e| format!("cannot open {dir}: {e}"))?;
+    let report = bmb_basket::fsck_dir(&mut fs).map_err(|e| format!("cannot list {dir}: {e}"))?;
+    let damage: Vec<&bmb_basket::FsckFinding> = report
+        .findings
         .iter()
-        .filter_map(|name| bmb_basket::parse_checkpoint_name(name).map(|e| (e, name.clone())))
+        .filter(|f| bmb_basket::wal::parse_segment_name(&f.name).is_none())
+        .collect();
+    let mut checkpoints: Vec<&String> = names
+        .iter()
+        .filter(|name| bmb_basket::parse_checkpoint_name(name).is_some())
         .collect();
     checkpoints.sort_unstable();
-    let mut damaged = 0usize;
-    for (epoch, name) in &checkpoints {
-        let path = std::path::Path::new(dir).join(name);
-        let bytes =
-            std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        match bmb_basket::verify_checkpoint_bytes(*epoch, &bytes, None) {
-            Ok(()) => writeln!(out, "{name}: epoch {epoch}, {} bytes, clean", bytes.len())
-                .map_err(sink)?,
-            Err(detail) => {
-                damaged += 1;
-                writeln!(out, "{name}: {detail}").map_err(sink)?;
-            }
+    for name in &checkpoints {
+        if !damage.iter().any(|f| &f.name == *name) {
+            writeln!(out, "{name}: clean").map_err(sink)?;
         }
     }
-    let manifest_path = std::path::Path::new(dir).join(bmb_basket::MANIFEST_NAME);
-    if names.iter().any(|n| n == bmb_basket::MANIFEST_NAME) {
-        let bytes = std::fs::read(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        match bmb_basket::verify_manifest_bytes(&bytes) {
-            Ok(listed) => {
-                writeln!(out, "MANIFEST: {} checkpoint(s) listed", listed.len()).map_err(sink)?;
-                for epoch in &listed {
-                    if !checkpoints.iter().any(|(e, _)| e == epoch) {
-                        damaged += 1;
-                        writeln!(
-                            out,
-                            "MANIFEST lists epoch {epoch} but {} is missing",
-                            bmb_basket::checkpoint_name(*epoch)
-                        )
-                        .map_err(sink)?;
-                    }
-                }
-                for (epoch, name) in &checkpoints {
-                    if !listed.contains(epoch) {
-                        damaged += 1;
-                        writeln!(out, "{name} is on disk but not listed in MANIFEST")
-                            .map_err(sink)?;
-                    }
-                }
-            }
-            Err(detail) => {
-                damaged += 1;
-                writeln!(out, "MANIFEST: {detail}").map_err(sink)?;
-            }
-        }
-    } else if !checkpoints.is_empty() {
-        damaged += 1;
-        writeln!(
-            out,
-            "MANIFEST missing with {} checkpoint(s) on disk",
-            checkpoints.len()
-        )
-        .map_err(sink)?;
+    for finding in &damage {
+        writeln!(out, "{}: {}", finding.name, finding.detail).map_err(sink)?;
     }
+    let segment_files = names
+        .iter()
+        .filter(|name| bmb_basket::parse_sealed_name(name).is_some())
+        .count();
     writeln!(
         out,
-        "checkpoints: {}, damaged artifacts: {damaged}",
-        checkpoints.len()
+        "checkpoints: {}, segment files: {segment_files}, damaged artifacts: {}",
+        checkpoints.len(),
+        damage.len()
     )
     .map_err(sink)?;
-    if torn > 0 || damaged > 0 {
+    if torn > 0 || !damage.is_empty() {
         return Err(format!(
-            "{dir}: {torn} torn segment(s), {damaged} damaged checkpoint artifact(s)"
+            "{dir}: {torn} torn segment(s), {} damaged checkpoint artifact(s)",
+            damage.len()
         ));
     }
     Ok(())
@@ -811,8 +780,10 @@ fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), S
 /// Runs the same structural verification the background scrubber uses
 /// (see `bmb_basket::fsck_dir`): the `GEN` record, the `MANIFEST`'s
 /// CRC and epoch order, manifest↔file agreement, every checkpoint's
-/// magic/CRC/epoch/basket table, every WAL segment's record walk, and
-/// the segment base-epoch chain. Read-only — nothing is repaired,
+/// magic/CRC/epoch/basket table, both copies of every segment file a
+/// checkpoint names (one bad copy is repairable; a checkpoint whose file
+/// has no good copy is marked unrecoverable), every WAL segment's record
+/// walk, and the segment base-epoch chain. Read-only — nothing is repaired,
 /// renamed, or deleted — and exits non-zero when anything fails to
 /// verify, so scripts and CI can assert at-rest integrity. Quarantined
 /// evidence files (`quarantine.*`) are counted but are not damage.
@@ -830,7 +801,12 @@ pub fn cmd_fsck(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     )
     .map_err(sink)?;
     for finding in &report.findings {
-        writeln!(out, "  {}: {}", finding.name, finding.detail).map_err(sink)?;
+        let mark = if finding.unrecoverable {
+            " [unrecoverable]"
+        } else {
+            ""
+        };
+        writeln!(out, "  {}: {}{mark}", finding.name, finding.detail).map_err(sink)?;
     }
     if report.is_clean() {
         writeln!(out, "clean").map_err(sink)?;
@@ -2042,11 +2018,7 @@ mod tests {
         let rendered = String::from_utf8(out).unwrap();
         assert!(rendered.contains("ckpt."), "{rendered}");
         assert!(
-            rendered.contains("MANIFEST: 1 checkpoint(s) listed"),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("checkpoints: 1, damaged artifacts: 0"),
+            rendered.contains("checkpoints: 1, segment files: 4, damaged artifacts: 0"),
             "{rendered}"
         );
 
@@ -2063,15 +2035,32 @@ mod tests {
         let rendered = String::from_utf8(out).unwrap();
         assert!(rendered.contains("CRC mismatch"), "{rendered}");
 
-        // Restore the bytes but delete the file: the MANIFEST now
-        // disagrees with the disk, which is also a non-zero exit.
+        // Restore the bytes but delete one copy of a segment file: the
+        // other copy still verifies, so it is repairable damage, and
+        // still a non-zero exit.
         std::fs::write(&ckpt, &pristine).unwrap();
+        let copy = dir.join(bmb_basket::sealed_name(1, 0));
+        std::fs::remove_file(&copy).unwrap();
+        let mut out = Vec::new();
+        let verdict = cmd_wal(&a, &mut out).unwrap_err();
+        assert!(
+            verdict.contains("1 damaged checkpoint artifact"),
+            "{verdict}"
+        );
+        let rendered = String::from_utf8(out).unwrap();
+        assert!(
+            rendered.contains("sealed.0000000001.0: unreadable"),
+            "{rendered}"
+        );
+
+        // Then the checkpoint itself: the MANIFEST names an epoch with
+        // no valid file.
         std::fs::remove_file(&ckpt).unwrap();
         let mut out = Vec::new();
         let verdict = cmd_wal(&a, &mut out).unwrap_err();
         assert!(verdict.contains("damaged checkpoint artifact"), "{verdict}");
         let rendered = String::from_utf8(out).unwrap();
-        assert!(rendered.contains("is missing"), "{rendered}");
+        assert!(rendered.contains("with no valid file"), "{rendered}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

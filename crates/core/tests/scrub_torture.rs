@@ -4,7 +4,8 @@
 //!
 //! A deterministic workload is laid down so the directory holds every
 //! artifact kind the scrub pass walks — `GEN`, `MANIFEST`, a
-//! checkpoint, and sealed WAL segments. The sweep then corrupts
+//! checkpoint, both copies of its sealed segment files, and sealed WAL
+//! segments. The sweep then corrupts
 //! **every single byte** of every walked artifact, one trial per byte:
 //! rebuild pristine media (the build is deterministic, so every trial
 //! starts from identical bytes), XOR one byte, run ONE scrub pass with
@@ -144,8 +145,9 @@ impl RepairPeer for PristinePeer {
 }
 
 /// The artifacts the scrub pass walks, with their pristine images:
-/// `GEN`, `MANIFEST`, every checkpoint, every *sealed* segment (the
-/// active tail is re-verified by recovery, not by scrub).
+/// `GEN`, `MANIFEST`, every checkpoint, every segment file copy, every
+/// *sealed* WAL segment (the active tail is re-verified by recovery,
+/// not by scrub).
 fn walked_artifacts(state: &SharedDirState) -> BTreeMap<String, Vec<u8>> {
     let names = list(state);
     let segment_index = |name: &str| -> Option<u64> {
@@ -163,6 +165,7 @@ fn walked_artifacts(state: &SharedDirState) -> BTreeMap<String, Vec<u8>> {
             n == GEN_NAME
                 || n == MANIFEST_NAME
                 || bmb_basket::parse_checkpoint_name(n).is_some()
+                || bmb_basket::parse_sealed_name(n).is_some()
                 || segment_index(n).is_some_and(|index| index < active)
         })
         .map(|n| {
@@ -317,8 +320,13 @@ fn every_byte_of_every_artifact_detected_repaired_and_bit_identical() {
             && targets
                 .keys()
                 .any(|n| bmb_basket::parse_checkpoint_name(n).is_some())
+            && targets
+                .keys()
+                .filter(|n| bmb_basket::parse_sealed_name(n).is_some())
+                .count()
+                == 4
             && targets.keys().any(|n| n.starts_with("wal.")),
-        "sweep must cover all four artifact kinds: {:?}",
+        "sweep must cover all five artifact kinds: {:?}",
         targets.keys().collect::<Vec<_>>()
     );
     let reference = reference();

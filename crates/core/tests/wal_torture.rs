@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use bmb_basket::record::WAL2_HEADER_LEN;
+use bmb_basket::record::WAL3_HEADER_LEN;
 use bmb_basket::storage::SharedDirState;
 use bmb_basket::wal::{
     parse_segment_name, DurabilityConfig, DurableStore, RecoveryReport, WalError,
@@ -60,7 +60,7 @@ impl Workload {
             })
             .collect();
         // From "rotate after every record" up to a few records each.
-        let segment_bytes = rng.gen_range(WAL2_HEADER_LEN as u64..=160);
+        let segment_bytes = rng.gen_range(WAL3_HEADER_LEN as u64..=160);
         Workload {
             n_items,
             capacity,
@@ -146,7 +146,7 @@ fn flip_stream_byte(state: &SharedDirState, k: u64, mask: u8) -> Option<bool> {
             bytes[offset as usize] ^= mask;
             file.truncate(0).expect("rewrite segment");
             file.append(&bytes).expect("rewrite segment");
-            return Some(offset < WAL2_HEADER_LEN as u64);
+            return Some(offset < WAL3_HEADER_LEN as u64);
         }
         offset -= len;
     }
@@ -339,7 +339,7 @@ fn torn_write_torture() {
 #[test]
 fn torn_write_with_scribble_torture() {
     let mut rng = StdRng::seed_from_u64(0xD15_C0DE);
-    let header = WAL2_HEADER_LEN as u64;
+    let header = WAL3_HEADER_LEN as u64;
     let mut fault_points = 0usize;
     while fault_points < 60 {
         let workload = Workload::random(&mut rng);
