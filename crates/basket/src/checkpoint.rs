@@ -249,6 +249,48 @@ pub fn verify_sealed_bytes(
     Ok(data.baskets)
 }
 
+/// Structurally verifies checkpoint bytes against the epoch its file
+/// name claims, and — when the store geometry is known — against the
+/// expected item-space size and segment capacity. Walks the basket
+/// table to the exact end of the body, so truncation and padding are
+/// caught even when the CRC was forged along with the data. Returns
+/// the decoded checkpoint, whose segment list names the sealed segment
+/// files it needs. This is the one acceptance rule: recovery's ladder
+/// (with the store's geometry), scrub and fsck all judge a checkpoint
+/// by it.
+///
+/// # Errors
+///
+/// A one-line damage description.
+pub fn verify_checkpoint_bytes(
+    name_epoch: u64,
+    bytes: &[u8],
+    geometry: Option<(usize, usize)>,
+) -> Result<CheckpointData, String> {
+    let data = decode_checkpoint(bytes)?;
+    if data.epoch != name_epoch {
+        return Err(format!(
+            "epoch field {} disagrees with file name epoch {name_epoch}",
+            data.epoch
+        ));
+    }
+    if let Some((n_items, capacity)) = geometry {
+        if data.n_items != n_items {
+            return Err(format!(
+                "item space {} disagrees with store geometry {n_items}",
+                data.n_items
+            ));
+        }
+        if data.segment_capacity != capacity {
+            return Err(format!(
+                "segment capacity {} disagrees with store geometry {capacity}",
+                data.segment_capacity
+            ));
+        }
+    }
+    Ok(data)
+}
+
 /// Reads sealed segment `id` for a checkpoint naming it with body CRC
 /// `crc`: copy 0, and copy 1 only when copy 0 is missing or fails. Returns
 /// the baskets and whether copy 0 served them; `None` when both fail.
@@ -640,6 +682,21 @@ mod tests {
         assert!(decode_checkpoint(&bytes[..bytes.len() - 5]).is_err());
         assert!(decode_checkpoint(&bytes[..10]).is_err());
         assert!(decode_checkpoint(b"").is_err());
+        // A valid checkpoint is refused under another name epoch or
+        // another store geometry: the rule recovery and scrub share.
+        assert!(verify_checkpoint_bytes(6, &bytes, Some((8, 4))).is_ok());
+        assert!(
+            verify_checkpoint_bytes(7, &bytes, Some((8, 4))).is_err(),
+            "epoch"
+        );
+        assert!(
+            verify_checkpoint_bytes(6, &bytes, Some((9, 4))).is_err(),
+            "item space"
+        );
+        assert!(
+            verify_checkpoint_bytes(6, &bytes, Some((8, 5))).is_err(),
+            "capacity"
+        );
 
         let file = &files[0].bytes;
         assert!(decode_sealed(file).is_ok(), "baseline valid");

@@ -60,8 +60,8 @@ pub mod wal;
 
 pub use bitmap::BitmapIndex;
 pub use checkpoint::{
-    checkpoint_name, parse_checkpoint_name, parse_sealed_name, sealed_name, verify_sealed_bytes,
-    MANIFEST_NAME,
+    checkpoint_name, parse_checkpoint_name, parse_sealed_name, sealed_name,
+    verify_checkpoint_bytes, verify_sealed_bytes, MANIFEST_NAME,
 };
 pub use contingency::{
     cell_mask_of, CellMask, ContingencyTable, SparseContingencyTable, MAX_DENSE_DIMS,
@@ -71,7 +71,7 @@ pub use item::{ItemCatalog, ItemId};
 pub use itemset::Itemset;
 pub use record::{inspect_wal_bytes, InspectedRecord, WalInspection};
 pub use scrub::{
-    fsck_dir, quarantine_name, segment_digests, verify_checkpoint_bytes, verify_generation_bytes,
+    fsck_checkpoints, fsck_dir, quarantine_name, segment_digests, verify_generation_bytes,
     verify_manifest_bytes, FsckFinding, FsckReport, PeerError, RepairPeer, ScrubOptions,
     ScrubReport, SegmentDigest, QUARANTINE_PREFIX,
 };

@@ -59,8 +59,8 @@ use std::time::Instant;
 use bmb_obs::{Counter, Histogram, Registry, Severity};
 
 use crate::checkpoint::{
-    checkpoint_name, decode_checkpoint, decode_manifest, encode_checkpoint, encode_manifest,
-    encode_sealed, parse_checkpoint_name, sealed_name, verify_sealed_bytes, write_atomic,
+    checkpoint_name, decode_manifest, encode_checkpoint, encode_manifest, encode_sealed,
+    parse_checkpoint_name, sealed_name, verify_checkpoint_bytes, verify_sealed_bytes, write_atomic,
     CheckpointData, MANIFEST_NAME, SEALED_COPIES,
 };
 use crate::item::ItemId;
@@ -164,17 +164,18 @@ pub fn segment_digests(snapshot: &Snapshot, from_epoch: u64) -> Vec<SegmentDiges
     out
 }
 
-/// Rebuilds the exact byte image of a sealed WAL segment from the
-/// baskets it covers: header (`BMBWAL2\n` + `base_epoch`), one
+/// Rebuilds the byte image of a sealed WAL segment from the baskets it
+/// covers: a v3 header (`BMBWAL3\0`, `base_epoch`, header CRC), one
 /// single-basket batch record per basket, and an epoch fence after
 /// every basket whose epoch is a multiple of `segment_capacity` (the
 /// seal boundary the writer fences at).
 ///
-/// The image is byte-identical to the pristine segment when ingest
+/// The image is byte-identical to a pristine v3 segment when ingest
 /// appended baskets one at a time in canonical form (sorted, unique
 /// item ids) — which is what replication apply and the torture
 /// fixtures do. For other ingest framings the image differs in record
-/// grouping but replays to the identical store state.
+/// grouping, and a v2 segment comes back with a v3 header; either way
+/// the records are the same and replay to the identical store state.
 pub fn rebuild_segment_bytes(
     base_epoch: u64,
     baskets: &[Vec<ItemId>],
@@ -215,46 +216,6 @@ pub fn verify_generation_bytes(bytes: &[u8]) -> Result<(), String> {
 pub fn verify_manifest_bytes(bytes: &[u8]) -> Result<Vec<u64>, String> {
     decode_manifest(bytes)
         .ok_or_else(|| "damaged manifest (length, magic, CRC, or epoch order)".to_string())
-}
-
-/// Structurally verifies checkpoint bytes against the epoch its file
-/// name claims, and — when the store geometry is known — against the
-/// expected item-space size and segment capacity. Walks the basket
-/// table to the exact end of the body, so truncation and padding are
-/// caught even when the CRC was forged along with the data. Returns
-/// the decoded checkpoint, whose segment list names the sealed segment
-/// files it needs.
-///
-/// # Errors
-///
-/// A one-line damage description.
-pub fn verify_checkpoint_bytes(
-    name_epoch: u64,
-    bytes: &[u8],
-    geometry: Option<(usize, usize)>,
-) -> Result<CheckpointData, String> {
-    let data = decode_checkpoint(bytes)?;
-    if data.epoch != name_epoch {
-        return Err(format!(
-            "epoch field {} disagrees with file name epoch {name_epoch}",
-            data.epoch
-        ));
-    }
-    if let Some((n_items, capacity)) = geometry {
-        if data.n_items != n_items {
-            return Err(format!(
-                "item space {} disagrees with store geometry {n_items}",
-                data.n_items
-            ));
-        }
-        if data.segment_capacity != capacity {
-            return Err(format!(
-                "segment capacity {} disagrees with store geometry {capacity}",
-                data.segment_capacity
-            ));
-        }
-    }
-    Ok(data)
 }
 
 /// Structurally verifies sealed-segment bytes: segment magic, the expected
@@ -359,7 +320,7 @@ impl FsckFinding {
     }
 }
 
-/// The result of [`fsck_dir`].
+/// The result of [`fsck_dir`] (or [`fsck_checkpoints`]).
 #[derive(Clone, Debug, Default)]
 pub struct FsckReport {
     /// Artifacts examined (GEN, MANIFEST, checkpoints, segments).
@@ -370,6 +331,14 @@ pub struct FsckReport {
     pub quarantined: u64,
     /// Every verification failure, in directory walk order.
     pub findings: Vec<FsckFinding>,
+    /// Manifest↔file disagreements, one line each: a checkpoint file
+    /// the intact `MANIFEST` does not list, or checkpoint files with no
+    /// `MANIFEST` at all. A checkpoint that crashed between its file
+    /// and its manifest leaves exactly this, recovery tolerates it and
+    /// the next checkpoint deletes the file, so it is not damage
+    /// ([`FsckReport::is_clean`] ignores it); but recovery does try
+    /// such a file when every listed checkpoint fails.
+    pub unlisted: Vec<String>,
 }
 
 impl FsckReport {
@@ -377,6 +346,39 @@ impl FsckReport {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
+
+    /// An empty report over a sorted directory listing.
+    fn over(names: &[String]) -> FsckReport {
+        FsckReport {
+            quarantined: names
+                .iter()
+                .filter(|n| n.starts_with(QUARANTINE_PREFIX))
+                .count() as u64,
+            ..FsckReport::default()
+        }
+    }
+
+    /// Reads one artifact, counting it; an unreadable one is a finding.
+    fn read(&mut self, dir: &mut dyn Dir, name: &str) -> Option<Vec<u8>> {
+        self.artifacts += 1;
+        match dir.open(name).and_then(|mut file| file.read_all()) {
+            Ok(bytes) => {
+                self.bytes += bytes.len() as u64;
+                Some(bytes)
+            }
+            Err(e) => {
+                let detail = format!("unreadable: {e}");
+                self.findings.push(FsckFinding::damage(name, detail));
+                None
+            }
+        }
+    }
+}
+
+fn sorted_names(dir: &mut dyn Dir) -> io::Result<Vec<String>> {
+    let mut names = dir.list()?;
+    names.sort();
+    Ok(names)
 }
 
 /// Offline, geometry-free structural verification of a durability
@@ -398,45 +400,48 @@ impl FsckReport {
 /// Only when the directory itself cannot be listed; per-artifact read
 /// failures become findings.
 pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
-    let mut names = dir.list()?;
-    names.sort();
-    let mut report = FsckReport {
-        quarantined: names
-            .iter()
-            .filter(|n| n.starts_with(QUARANTINE_PREFIX))
-            .count() as u64,
-        ..FsckReport::default()
-    };
-    // Reads one artifact, counting it; an unreadable one is a finding.
-    let read = |dir: &mut dyn Dir, name: &str, report: &mut FsckReport| {
-        report.artifacts += 1;
-        let bytes = dir.open(name).and_then(|mut file| file.read_all());
-        match bytes {
-            Ok(bytes) => {
-                report.bytes += bytes.len() as u64;
-                Some(bytes)
-            }
-            Err(e) => {
-                let detail = format!("unreadable: {e}");
-                report.findings.push(FsckFinding::damage(name, detail));
-                None
-            }
-        }
-    };
+    let names = sorted_names(dir)?;
+    let mut report = FsckReport::over(&names);
+    let newest_loadable = check_checkpoint_side(dir, &names, &mut report);
+    check_wal_chain(dir, &names, newest_loadable, &mut report);
+    Ok(report)
+}
 
+/// The checkpoint side of [`fsck_dir`] alone: `GEN`, `MANIFEST`,
+/// manifest↔file agreement, every checkpoint and both copies of every
+/// segment file one names. WAL segments are not read. This is what
+/// `bmb wal inspect --dir` reports next to its own segment walk.
+///
+/// # Errors
+///
+/// Only when the directory itself cannot be listed.
+pub fn fsck_checkpoints(dir: &mut dyn Dir) -> io::Result<FsckReport> {
+    let names = sorted_names(dir)?;
+    let mut report = FsckReport::over(&names);
+    check_checkpoint_side(dir, &names, &mut report);
+    Ok(report)
+}
+
+/// Verifies `GEN`, `MANIFEST`, every checkpoint and the segment files
+/// they name into `report`; returns the newest checkpoint epoch whose
+/// file and segment files all keep a good copy (0 when none does).
+fn check_checkpoint_side(dir: &mut dyn Dir, names: &[String], report: &mut FsckReport) -> u64 {
     if names.iter().any(|n| n == GEN_NAME) {
-        if let Some(bytes) = read(dir, GEN_NAME, &mut report) {
+        if let Some(bytes) = report.read(dir, GEN_NAME) {
             if let Err(detail) = verify_generation_bytes(&bytes) {
                 report.findings.push(FsckFinding::damage(GEN_NAME, detail));
             }
         }
     }
 
-    let mut manifest_epochs: Vec<u64> = Vec::new();
-    if names.iter().any(|n| n == MANIFEST_NAME) {
-        if let Some(bytes) = read(dir, MANIFEST_NAME, &mut report) {
+    // The listed epochs; `None` when the manifest is missing or damaged,
+    // so nothing can be called unlisted.
+    let has_manifest = names.iter().any(|n| n == MANIFEST_NAME);
+    let mut manifest_epochs: Option<Vec<u64>> = None;
+    if has_manifest {
+        if let Some(bytes) = report.read(dir, MANIFEST_NAME) {
             match verify_manifest_bytes(&bytes) {
-                Ok(epochs) => manifest_epochs = epochs,
+                Ok(epochs) => manifest_epochs = Some(epochs),
                 Err(detail) => report
                     .findings
                     .push(FsckFinding::damage(MANIFEST_NAME, detail)),
@@ -444,19 +449,34 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
         }
     }
 
+    let mut on_disk = 0usize;
     let mut valid_ckpts: Vec<(u64, CheckpointData)> = Vec::new();
-    for name in &names {
+    for name in names {
         let Some(epoch) = parse_checkpoint_name(name) else {
             continue;
         };
-        if let Some(bytes) = read(dir, name, &mut report) {
+        on_disk += 1;
+        if manifest_epochs
+            .as_ref()
+            .is_some_and(|m| !m.contains(&epoch))
+        {
+            report
+                .unlisted
+                .push(format!("{name}: on disk but not listed in {MANIFEST_NAME}"));
+        }
+        if let Some(bytes) = report.read(dir, name) {
             match verify_checkpoint_bytes(epoch, &bytes, None) {
                 Ok(data) => valid_ckpts.push((epoch, data)),
                 Err(detail) => report.findings.push(FsckFinding::damage(name, detail)),
             }
         }
     }
-    for epoch in &manifest_epochs {
+    if !has_manifest && on_disk > 0 {
+        report.unlisted.push(format!(
+            "{MANIFEST_NAME} missing with {on_disk} checkpoint(s) on disk"
+        ));
+    }
+    for epoch in manifest_epochs.iter().flatten() {
         if !valid_ckpts.iter().any(|(e, _)| e == epoch) {
             report.findings.push(FsckFinding::damage(
                 MANIFEST_NAME,
@@ -479,7 +499,7 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
                     let mut copies_good = 0;
                     for copy in 0..SEALED_COPIES {
                         let name = sealed_name(id, copy);
-                        let Some(bytes) = read(dir, &name, &mut report) else {
+                        let Some(bytes) = report.read(dir, &name) else {
                             continue;
                         };
                         let verdict = verify_sealed_bytes(
@@ -514,7 +534,17 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
             newest_loadable = newest_loadable.max(*epoch);
         }
     }
+    newest_loadable
+}
 
+/// Walks every WAL segment's records and the base-epoch chain into
+/// `report`; a chain gap is legal only below `newest_loadable`.
+fn check_wal_chain(
+    dir: &mut dyn Dir,
+    names: &[String],
+    newest_loadable: u64,
+    report: &mut FsckReport,
+) {
     let mut segments: Vec<(u64, &String)> = names
         .iter()
         .filter_map(|n| parse_segment_name(n).map(|index| (index, n)))
@@ -524,7 +554,7 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
     // damaged segment whose end cannot be trusted.
     let mut covered: Option<u64> = Some(0);
     for (_, name) in segments {
-        let Some(bytes) = read(dir, name, &mut report) else {
+        let Some(bytes) = report.read(dir, name) else {
             covered = None;
             continue;
         };
@@ -569,7 +599,6 @@ pub fn fsck_dir(dir: &mut dyn Dir) -> io::Result<FsckReport> {
         }
         covered = Some(inspection.end_epoch);
     }
-    Ok(report)
 }
 
 /// Handle bundle for the scrub metrics (`bmb_basket_scrub_*`); cells
@@ -1523,6 +1552,15 @@ mod tests {
                 "fsck missed damage in {name}: {:?}",
                 fsck.findings
             );
+            // The checkpoint side alone never reads a WAL segment.
+            let side = fsck_checkpoints(&mut dir).expect("fsck checkpoints");
+            assert_eq!(
+                side.findings.iter().any(|f| f.name == name),
+                parse_segment_name(&name).is_none(),
+                "{name}: {:?}",
+                side.findings
+            );
+            assert!(side.artifacts < fsck.artifacts);
             flip_byte(&state, &name, bytes.len() / 2); // restore
         }
         let mut dir = MemDir::with_state(Arc::clone(&state));

@@ -70,8 +70,8 @@ use std::time::{Duration, Instant};
 use bmb_obs::{Counter, Gauge, Histogram, Registry, Severity};
 
 use crate::checkpoint::{
-    checkpoint_name, decode_checkpoint, decode_manifest, encode_checkpoint, encode_manifest,
-    encode_sealed, parse_checkpoint_name, parse_sealed_name, read_sealed, sealed_name,
+    checkpoint_name, decode_manifest, encode_checkpoint, encode_manifest, encode_sealed,
+    parse_checkpoint_name, parse_sealed_name, read_sealed, sealed_name, verify_checkpoint_bytes,
     write_atomic, SealedFile, MANIFEST_NAME, SEALED_COPIES, TMP_SUFFIX,
 };
 use crate::item::ItemId;
@@ -1547,11 +1547,8 @@ fn restore_checkpoint(
     config: StoreConfig,
 ) -> Option<Restored> {
     let bytes = dir.open(&checkpoint_name(epoch)).ok()?.read_all().ok()?;
-    let data = decode_checkpoint(&bytes).ok()?;
     let cap = config.segment_capacity;
-    if data.epoch != epoch || data.n_items != n_items || data.segment_capacity != cap {
-        return None;
-    }
+    let data = verify_checkpoint_bytes(epoch, &bytes, Some((n_items, cap))).ok()?;
     let store = IncrementalStore::new(n_items, config);
     let mut reusable = data.segments.len();
     for (id, &crc) in (0u64..).zip(&data.segments) {
@@ -1930,6 +1927,38 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, WalError::ItemSpaceMismatch(_)));
+    }
+
+    #[test]
+    fn checkpoint_under_another_geometry_is_never_loaded() {
+        // 3 baskets leave a checkpoint naming no segment file (only its
+        // own geometry fields can refuse it); 6 name one.
+        for n in [3u32, 6] {
+            for (n_items, capacity) in [(9, 4), (4, 4), (8, 5), (8, 3)] {
+                let state = MemDir::new().state();
+                let (store, _) = open_dir_mem(&state, durability(1 << 20));
+                for i in 0..n {
+                    store.append_ids([i % 4]).unwrap();
+                }
+                store.checkpoint().unwrap();
+                drop(store);
+                let opened = DurableStore::open_dir(
+                    Box::new(MemDir::with_state(state)),
+                    n_items,
+                    StoreConfig {
+                        segment_capacity: capacity,
+                    },
+                    durability(1 << 20),
+                );
+                // Every id fits all four item spaces, so the WAL replays
+                // in full: the checkpoint is refused, never loaded.
+                let at = format!("{n} baskets, reopened as ({n_items}, {capacity})");
+                let (_, report) = opened.unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(report.checkpoint_epoch, 0, "{at}: {report:?}");
+                assert_eq!(report.checkpoint_fallbacks, 1, "{at}");
+                assert_eq!(report.epoch, u64::from(n), "{at}: WAL replay");
+            }
+        }
     }
 
     #[test]

@@ -670,8 +670,10 @@ pub fn cmd_wal(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// Walks a rotated WAL segment directory, one summary line per
 /// `wal.NNNNNN` file in rotation order: base epoch, record count, end
 /// epoch, and diagnosis. Checkpoint artifacts ride along through
-/// `bmb_basket::fsck_dir`: every `ckpt.*` file, both copies of every
-/// segment file a checkpoint names, `MANIFEST` and `GEN`. `limit` caps
+/// `bmb_basket::fsck_checkpoints`: every `ckpt.*` file, both copies of
+/// every segment file a checkpoint names, `MANIFEST` and `GEN`, and
+/// manifest↔file agreement (a checkpoint file `MANIFEST` does not list,
+/// or checkpoints with no `MANIFEST`, is a non-zero exit). `limit` caps
 /// the per-segment lines (the summaries always print).
 fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), String> {
     let sink = |e: std::io::Error| e.to_string();
@@ -732,44 +734,42 @@ fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), S
 
     // The checkpoint side of the directory — checkpoints, both copies
     // of every segment file they name, MANIFEST, GEN — is judged by the
-    // same `fsck_dir` the scrubber's offline twin `bmb fsck` runs; its
-    // WAL-segment findings are the walk above.
+    // same checks `bmb fsck` runs; the WAL segments are the walk above.
+    // A checkpoint the MANIFEST does not list counts as damage here.
     let mut fs = bmb_basket::FsDir::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open {dir}: {e}"))?;
-    let report = bmb_basket::fsck_dir(&mut fs).map_err(|e| format!("cannot list {dir}: {e}"))?;
-    let damage: Vec<&bmb_basket::FsckFinding> = report
-        .findings
-        .iter()
-        .filter(|f| bmb_basket::wal::parse_segment_name(&f.name).is_none())
-        .collect();
+    let report =
+        bmb_basket::fsck_checkpoints(&mut fs).map_err(|e| format!("cannot list {dir}: {e}"))?;
     let mut checkpoints: Vec<&String> = names
         .iter()
         .filter(|name| bmb_basket::parse_checkpoint_name(name).is_some())
         .collect();
     checkpoints.sort_unstable();
     for name in &checkpoints {
-        if !damage.iter().any(|f| &f.name == *name) {
+        if !report.findings.iter().any(|f| &f.name == *name) {
             writeln!(out, "{name}: clean").map_err(sink)?;
         }
     }
-    for finding in &damage {
+    for finding in &report.findings {
         writeln!(out, "{}: {}", finding.name, finding.detail).map_err(sink)?;
+    }
+    for line in &report.unlisted {
+        writeln!(out, "{line}").map_err(sink)?;
     }
     let segment_files = names
         .iter()
         .filter(|name| bmb_basket::parse_sealed_name(name).is_some())
         .count();
+    let damaged = report.findings.len() + report.unlisted.len();
     writeln!(
         out,
-        "checkpoints: {}, segment files: {segment_files}, damaged artifacts: {}",
+        "checkpoints: {}, segment files: {segment_files}, damaged artifacts: {damaged}",
         checkpoints.len(),
-        damage.len()
     )
     .map_err(sink)?;
-    if torn > 0 || !damage.is_empty() {
+    if torn > 0 || damaged > 0 {
         return Err(format!(
-            "{dir}: {torn} torn segment(s), {} damaged checkpoint artifact(s)",
-            damage.len()
+            "{dir}: {torn} torn segment(s), {damaged} damaged checkpoint artifact(s)"
         ));
     }
     Ok(())
@@ -786,7 +786,9 @@ fn wal_inspect_dir(dir: &str, limit: usize, out: &mut dyn Write) -> Result<(), S
 /// walk, and the segment base-epoch chain. Read-only — nothing is repaired,
 /// renamed, or deleted — and exits non-zero when anything fails to
 /// verify, so scripts and CI can assert at-rest integrity. Quarantined
-/// evidence files (`quarantine.*`) are counted but are not damage.
+/// evidence files (`quarantine.*`) are counted but are not damage; a
+/// checkpoint file `MANIFEST` does not list (a crashed checkpoint's) is
+/// printed as a `note:` line but is not damage either.
 pub fn cmd_fsck(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let dir_path = args.positional(1).ok_or("usage: bmb fsck DIR")?;
     let sink = |e: std::io::Error| e.to_string();
@@ -807,6 +809,9 @@ pub fn cmd_fsck(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             ""
         };
         writeln!(out, "  {}: {}{mark}", finding.name, finding.detail).map_err(sink)?;
+    }
+    for line in &report.unlisted {
+        writeln!(out, "  note: {line}").map_err(sink)?;
     }
     if report.is_clean() {
         writeln!(out, "clean").map_err(sink)?;
@@ -2052,6 +2057,41 @@ mod tests {
             rendered.contains("sealed.0000000001.0: unreadable"),
             "{rendered}"
         );
+        std::fs::copy(dir.join(bmb_basket::sealed_name(1, 1)), &copy).unwrap();
+
+        // A checkpoint the MANIFEST does not list (what a checkpoint
+        // crashing before its manifest leaves), then checkpoints with no
+        // MANIFEST at all: a non-zero exit here, a note in `bmb fsck`.
+        let manifest = dir.join(bmb_basket::MANIFEST_NAME);
+        let listed = std::fs::read(&manifest).unwrap();
+        let fsck_args = args(FSCK_SPEC, &["fsck", dir.to_str().unwrap()]);
+        let expect = [
+            (
+                Some(bmb_basket::checkpoint::encode_manifest(&[])),
+                "not listed in MANIFEST",
+            ),
+            (None, "MANIFEST missing with 1 checkpoint(s) on disk"),
+        ];
+        for (bytes, line) in expect {
+            match bytes {
+                Some(bytes) => std::fs::write(&manifest, bytes).unwrap(),
+                None => std::fs::remove_file(&manifest).unwrap(),
+            }
+            let mut out = Vec::new();
+            let verdict = cmd_wal(&a, &mut out).unwrap_err();
+            assert!(
+                verdict.contains("1 damaged checkpoint artifact"),
+                "{verdict}"
+            );
+            let rendered = String::from_utf8(out).unwrap();
+            assert!(rendered.contains(line), "{rendered}");
+            let mut out = Vec::new();
+            cmd_fsck(&fsck_args, &mut out).unwrap();
+            let rendered = String::from_utf8(out).unwrap();
+            assert!(rendered.contains("  note: "), "{rendered}");
+            assert!(rendered.contains(line), "{rendered}");
+        }
+        std::fs::write(&manifest, &listed).unwrap();
 
         // Then the checkpoint itself: the MANIFEST names an epoch with
         // no valid file.
